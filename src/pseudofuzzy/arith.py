@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .errors import (
     NonFinite,
     ZeroScale,
 )
-from .ptfn import Interval, Kind, PseudoTfn, TriangleShape, alpha_cut_mu, mu_at
+from .ptfn import Interval, Kind, PseudoTfn, TriangleShape, _lam, alpha_cut_mu, mu_at
 
 DEFAULT_LEVELS = 11
 DEFAULT_ORACLE_GRID = 256
@@ -131,31 +132,34 @@ def _interval_mul(u: Interval, v: Interval) -> Interval:
     return Interval(min(products), max(products))
 
 
+def _tabulate(kind: Kind, levels: int, cut_at: Callable[[float], Interval]) -> CutTable:
+    """CutTable of cut_at(alpha) at levels equally spaced alphas."""
+    return CutTable(tuple((alpha, cut_at(alpha)) for alpha in _level_values(levels)), kind)
+
+
 def cut_table(p: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
     """Tabulate the alpha-cuts of a PTFN at equally spaced levels."""
-    rows = tuple((alpha, alpha_cut_mu(p, alpha)) for alpha in _level_values(levels))
-    return CutTable(rows, p.kind)
+    return _tabulate(p.kind, levels, lambda alpha: alpha_cut_mu(p, alpha))
 
 
 def mul(p: PseudoTfn, q: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
     """Per-level interval product: extremes of the four endpoint products."""
     kind = _require_same_kind(p, q)
-    rows = []
-    for alpha in _level_values(levels):
-        rows.append((alpha, _interval_mul(alpha_cut_mu(p, alpha), alpha_cut_mu(q, alpha))))
-    return CutTable(tuple(rows), kind)
+    return _tabulate(
+        kind, levels, lambda alpha: _interval_mul(alpha_cut_mu(p, alpha), alpha_cut_mu(q, alpha))
+    )
 
 
 def div(p: PseudoTfn, q: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
     """Per-level interval quotient: product with the reciprocal interval."""
     kind = _require_same_kind(p, q)
     _check_divisor(q)
-    rows = []
-    for alpha in _level_values(levels):
-        num = alpha_cut_mu(p, alpha)
+
+    def quotient(alpha: float) -> Interval:
         den = alpha_cut_mu(q, alpha)
-        rows.append((alpha, _interval_mul(num, Interval(1.0 / den.hi, 1.0 / den.lo))))
-    return CutTable(tuple(rows), kind)
+        return _interval_mul(alpha_cut_mu(p, alpha), Interval(1.0 / den.hi, 1.0 / den.lo))
+
+    return _tabulate(kind, levels, quotient)
 
 
 def _oracle_samples(p: PseudoTfn, grid: int) -> np.ndarray:
@@ -240,6 +244,4 @@ def lambda_of_result(table: CutTable, x: float) -> MembershipPair:
             t = (wide.hi - x) / gap if gap > 0.0 else 1.0
         mu = alpha_lo + t * (alpha_hi - alpha_lo)
         mu = min(max(mu, 0.0), 1.0)
-    if table.kind is Kind.DEPENDENT:
-        return MembershipPair(mu, mu - 1.0)
-    return MembershipPair(mu, -mu)
+    return MembershipPair(mu, _lam(table.kind, mu))

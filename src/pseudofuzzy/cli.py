@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -28,6 +29,7 @@ from .ptfn import (
     Kind,
     PseudoTfn,
     TriangleShape,
+    _default_window,
     alpha_cut_mu,
     beta_cut_lambda,
     discretize,
@@ -42,12 +44,33 @@ EXIT_DOMAIN = 3
 EXIT_KIND = 4
 EXIT_DIVISOR = 5
 
+# first matching class wins, so subclasses come before PseudoFuzzyError
+_EXIT_CODES = (
+    (DocumentError, EXIT_PARSE),
+    (KindMismatch, EXIT_KIND),
+    (DivisorStraddlesZero, EXIT_DIVISOR),
+    (PseudoFuzzyError, EXIT_DOMAIN),
+)
+
 _DOCUMENT_FIELDS = ("a", "b", "c", "kind")
 
 
 def _fmt(value: float) -> str:
     # 12 significant digits, trailing zeros stripped; + 0.0 folds -0.0
     return f"{value + 0.0:.12g}"
+
+
+def _row(*values: float) -> None:
+    print(",".join([_fmt(value) for value in values]))
+
+
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise DocumentError(f"duplicate field: {key}")
+        doc[key] = value
+    return doc
 
 
 def parse_ptfn(text: str | bytes) -> PseudoTfn:
@@ -58,7 +81,7 @@ def parse_ptfn(text: str | bytes) -> PseudoTfn:
         except UnicodeDecodeError as exc:
             raise DocumentError(f"input is not UTF-8: {exc}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -87,13 +110,15 @@ def parse_ptfn(text: str | bytes) -> PseudoTfn:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"input is not UTF-8: {exc}") from None
 
 
 def _load_ptfn(path: str) -> PseudoTfn:
@@ -124,19 +149,19 @@ def _parse_curve_csv(text: str):
 def cmd_eval(args: argparse.Namespace) -> int:
     p = _load_ptfn(args.ptfn)
     pair = pair_at(p, args.x)
-    print(f"{_fmt(args.x)},{_fmt(pair.mu)},{_fmt(pair.lam)}")
+    _row(args.x, pair.mu, pair.lam)
     return EXIT_OK
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
     p = _load_ptfn(args.ptfn)
-    width = p.c - p.a
-    xmin = args.xmin if args.xmin is not None else p.a - width
-    xmax = args.xmax if args.xmax is not None else p.c + width
+    lo, hi = _default_window(p)
+    xmin = lo if args.xmin is None else args.xmin
+    xmax = hi if args.xmax is None else args.xmax
     dset = discretize(p, args.n, xmin, xmax)
     print("x,mu,lambda")
     for element in dset:
-        print(f"{_fmt(element.x)},{_fmt(element.pair.mu)},{_fmt(element.pair.lam)}")
+        _row(element.x, element.pair.mu, element.pair.lam)
     return EXIT_OK
 
 
@@ -152,7 +177,7 @@ def cmd_cut(args: argparse.Namespace) -> int:
         interval = alpha_cut_mu(p, args.level)
     else:
         interval = beta_cut_lambda(p, args.level)
-    print(f"{_fmt(interval.lo)},{_fmt(interval.hi)}")
+    _row(interval.lo, interval.hi)
     return EXIT_OK
 
 
@@ -161,18 +186,15 @@ def cmd_arith(args: argparse.Namespace) -> int:
         raise DocumentError("only one operand may come from stdin")
     p = _load_ptfn(args.ptfn1)
     q = _load_ptfn(args.ptfn2)
-    if args.op == "add":
-        table = arith.cut_table(arith.add(p, q), args.levels)
-    elif args.op == "sub":
-        table = arith.cut_table(arith.sub(p, q), args.levels)
-    elif args.op == "mul":
-        table = arith.mul(p, q, args.levels)
+    op = getattr(arith, args.op)
+    if args.op in ("add", "sub"):
+        table = arith.cut_table(op(p, q), args.levels)
     else:
-        table = arith.div(p, q, args.levels)
+        table = op(p, q, args.levels)
     print(f"# kind={table.kind.value}")
     print("alpha,lo,hi")
     for alpha, interval in table.rows:
-        print(f"{_fmt(alpha)},{_fmt(interval.lo)},{_fmt(interval.hi)}")
+        _row(alpha, interval.lo, interval.hi)
     return EXIT_OK
 
 
@@ -192,8 +214,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes "-7.7e-05" for a negative number, not an option; subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pseudofuzzy",
         description="Evaluate, cut, classify, and combine pseudo triangular fuzzy numbers.",
     )
@@ -257,18 +287,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except KindMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_KIND
-    except DivisorStraddlesZero as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVISOR
     except PseudoFuzzyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 def entry() -> None:

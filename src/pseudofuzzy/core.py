@@ -148,8 +148,7 @@ def classify_case(pair: MembershipPair, eps: float = DEFAULT_EPS) -> CaseLabel:
 
 def is_dependent_pair(pair: MembershipPair, eps: float = DEFAULT_EPS) -> bool:
     """True iff the magnitude sum equals 1 within eps (case B)."""
-    eps = _require_eps(eps)
-    return abs(magnitude_sum(pair) - 1.0) <= eps
+    return classify_case(pair, eps) is CaseLabel.B
 
 
 def _as_element(item: ElementLike, index: int) -> PseudoFuzzyElement:

@@ -8,12 +8,13 @@ reals. The positive grade mu is the usual triangular hat in both kinds:
           = (c-x)/(c-b)  on [b, c]
           = 0            for x >= c
 
-The negative grade lam depends on the kind:
+The negative grade lam, and its level cuts, are derived from mu by the
+kind identity. Written out, the identity yields:
 
-    dependent:    lam = -1 outside [a, c], (x-b)/(b-a) on [a, b],
-                  (b-x)/(c-b) on [b, c].      Identity: lam = mu - 1.
-    independent:  lam = 0 outside [a, c], (a-x)/(b-a) on [a, b],
-                  (x-c)/(c-b) on [b, c].      Identity: lam = -mu.
+    dependent:    lam = mu - 1: -1 outside [a, c], (x-b)/(b-a) on [a, b],
+                  (b-x)/(c-b) on [b, c].
+    independent:  lam = -mu: 0 outside [a, c], (a-x)/(b-a) on [a, b],
+                  (x-c)/(c-b) on [b, c].
 
 A dependent number keeps |mu| + |lam| = 1 everywhere (case B); an
 independent one has |mu| + |lam| = 2*mu, sweeping cases A and C.
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     DEFAULT_EPS,
@@ -35,7 +37,6 @@ from .core import (
     PseudoFuzzyElement,
     _require_eps,
     _require_finite,
-    magnitude_sum,
 )
 from .errors import (
     AlphaOutOfRange,
@@ -157,31 +158,22 @@ def mu_at(p: PseudoTfn, x: float) -> float:
     return (c - x) / (c - b)
 
 
+def _lam(kind: Kind, mu: float) -> float:
+    """The kind identity: the negative grade that goes with mu."""
+    if kind is Kind.DEPENDENT:
+        return mu - 1.0
+    return 0.0 - mu  # not -mu: lam is +0.0 where mu is 0
+
+
 def lambda_at(p: PseudoTfn, x: float) -> float:
     """Negative membership at x per the number's kind."""
-    x = _require_finite("x", x)
-    a, b, c = p.a, p.b, p.c
-    if p.kind is Kind.DEPENDENT:
-        if x < a or x > c:
-            return -1.0
-        if x == b:
-            return 0.0
-        if x < b:
-            return (x - b) / (b - a)
-        return (b - x) / (c - b)
-    # independent
-    if x < a or x > c:
-        return 0.0
-    if x == b:
-        return -1.0
-    if x < b:
-        return (a - x) / (b - a)
-    return (x - c) / (c - b)
+    return _lam(p.kind, mu_at(p, x))
 
 
 def pair_at(p: PseudoTfn, x: float) -> MembershipPair:
     """Both grades at x as a validated MembershipPair."""
-    return MembershipPair(mu_at(p, x), lambda_at(p, x))
+    mu = mu_at(p, x)
+    return MembershipPair(mu, _lam(p.kind, mu))
 
 
 def alpha_cut_mu(p: PseudoTfn, alpha: float) -> Interval:
@@ -207,27 +199,18 @@ def alpha_cut_mu(p: PseudoTfn, alpha: float) -> Interval:
 def beta_cut_lambda(p: PseudoTfn, beta: float) -> Interval:
     """Kind-oriented level cut of the negative membership.
 
-    Dependent numbers are cut where lam is weakest (lam >= beta, near 0):
-    the interval [b + beta*(b-a), b - beta*(c-b)], which coincides with
-    the mu-cut at level beta + 1. Independent numbers are cut where the
-    negative grade is strongest (lam <= beta), which is the mu-cut at
-    level -beta.
+    Dependent numbers are cut where lam is weakest (lam >= beta, near 0);
+    by lam = mu - 1 that is the mu-cut at level beta + 1, the interval
+    [b + beta*(b-a), b - beta*(c-b)]. Independent numbers are cut where
+    the negative grade is strongest (lam <= beta); by lam = -mu that is
+    the mu-cut at level -beta.
     """
     beta = float(beta)
     if not -1.0 <= beta <= 0.0:
         raise BetaOutOfRange(f"beta must lie in [-1, 0], got {beta!r}")
-    if p.kind is Kind.INDEPENDENT:
-        return alpha_cut_mu(p, -beta)
-    a, b, c = p.a, p.b, p.c
-    if beta == 0.0:
-        return Interval(b, b)
-    if beta == -1.0:
-        return Interval(a, c)
-    lo = b + beta * (b - a)
-    hi = b - beta * (c - b)
-    if lo > hi:
-        lo = hi = 0.5 * (lo + hi)
-    return Interval(lo, hi)
+    if p.kind is Kind.DEPENDENT:
+        return alpha_cut_mu(p, beta + 1.0)
+    return alpha_cut_mu(p, -beta)
 
 
 def parametric_point(p: PseudoTfn, r: float, s: float) -> float:
@@ -246,50 +229,47 @@ def parametric_point(p: PseudoTfn, r: float, s: float) -> float:
     return cut.lo + s * (cut.hi - cut.lo)
 
 
-def discretize(p: PseudoTfn, n: int, xmin: float, xmax: float) -> DiscretePseudoFuzzySet:
-    """Sample both grades at n equally spaced points of [xmin, xmax]."""
+def _default_window(p: PseudoTfn) -> tuple[float, float]:
+    """[a - (c-a), c + (c-a)]: reaches the constant outer branches of lam."""
+    width = p.shape.width
+    return p.a - width, p.c + width
+
+
+def _sample(p: PseudoTfn, n: int, xmin: float, xmax: float, count: str = "n") -> Iterator:
+    """Check now; later yield (x, pair) at n even steps over [xmin, xmax]."""
     if n != int(n) or n < 2:
-        raise BadCount(f"need n >= 2 sample points, got {n!r}")
+        raise BadCount(f"need {count} >= 2 sample points, got {n!r}")
     n = int(n)
     xmin = _require_finite("xmin", xmin)
     xmax = _require_finite("xmax", xmax)
     if not xmin < xmax:
         raise BadRange(f"need xmin < xmax, got [{xmin!r}, {xmax!r}]")
     span = xmax - xmin
-    elements = []
-    for i in range(n):
-        x = xmax if i == n - 1 else xmin + (i * span) / (n - 1)
-        elements.append(PseudoFuzzyElement(x, pair_at(p, x)))
-    return DiscretePseudoFuzzySet(tuple(elements))
+    xs = chain((xmin + (i * span) / (n - 1) for i in range(n - 1)), (xmax,))
+    return ((x, pair_at(p, x)) for x in xs)
 
 
-def _kind_defect(pair: MembershipPair, kind: Kind) -> float:
-    """Deviation of a pair from the kind identity (0 when it holds)."""
-    if kind is Kind.DEPENDENT:
-        return abs(magnitude_sum(pair) - 1.0)
-    return abs(pair.lam + pair.mu)
+def discretize(p: PseudoTfn, n: int, xmin: float, xmax: float) -> DiscretePseudoFuzzySet:
+    """Sample both grades at n equally spaced points of [xmin, xmax]."""
+    points = _sample(p, n, xmin, xmax)
+    return DiscretePseudoFuzzySet(tuple(PseudoFuzzyElement(x, pair) for x, pair in points))
+
+
+def _first_violation(points: Iterable, kind: Kind, eps: float) -> Optional[float]:
+    """x of the first (x, pair) whose lam is off the kind identity by more than eps."""
+    eps = _require_eps(eps)
+    for x, pair in points:
+        if abs(pair.lam - _lam(kind, pair.mu)) > eps:
+            return x
+    return None
 
 
 def kind_violation(p: PseudoTfn, grid: int, eps: float = DEFAULT_EPS) -> Optional[float]:
     """First sampled x where p breaks its kind identity, or None.
 
-    Samples grid points over [a - (c-a), c + (c-a)]: one support-width
-    beyond each foot, so the constant outer branches are exercised where
-    the two kinds differ most.
+    Samples grid points over the default window, one at a time.
     """
-    if grid != int(grid) or grid < 2:
-        raise BadCount(f"need grid >= 2 sample points, got {grid!r}")
-    grid = int(grid)
-    eps = _require_eps(eps)
-    width = p.shape.width
-    xlo = p.a - width
-    xhi = p.c + width
-    span = xhi - xlo
-    for i in range(grid):
-        x = xhi if i == grid - 1 else xlo + (i * span) / (grid - 1)
-        if _kind_defect(pair_at(p, x), p.kind) > eps:
-            return x
-    return None
+    return _first_violation(_sample(p, grid, *_default_window(p), "grid"), p.kind, eps)
 
 
 def verify_kind(p: PseudoTfn, grid: int, eps: float = DEFAULT_EPS) -> bool:
@@ -301,8 +281,4 @@ def set_kind_violation(
     dset: DiscretePseudoFuzzySet, kind: Kind, eps: float = DEFAULT_EPS
 ) -> Optional[float]:
     """First x of a discrete set whose pair breaks the given kind rule."""
-    eps = _require_eps(eps)
-    for element in dset:
-        if _kind_defect(element.pair, kind) > eps:
-            return element.x
-    return None
+    return _first_violation(((e.x, e.pair) for e in dset), kind, eps)

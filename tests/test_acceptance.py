@@ -1,9 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
+The paper's explicit formulas are checked here too, as the independent
+oracle for the lam and beta-cut values the package derives from mu.
+
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines. Every tolerance is pinned here, not configurable.
 """
 
+import math
 import random
 import subprocess
 import sys
@@ -139,6 +143,88 @@ def test_criterion_4_cut_coherence():
             if abs(got.lo - want.lo) > 1e-9 or abs(got.hi - want.hi) > 1e-9:
                 failures.append((shape, beta, "beta correspondence"))
     _report(4, "cut nesting, endpoint levels, beta correspondence", failures)
+
+
+def _paper_lambda(p, x):
+    # the paper's piecewise negative membership, branch by branch
+    a, b, c = p.a, p.b, p.c
+    if p.kind is Kind.DEPENDENT:
+        if x < a or x > c:
+            return -1.0
+        if x == b:
+            return 0.0
+        if x < b:
+            return (x - b) / (b - a)
+        return (b - x) / (c - b)
+    if x < a or x > c:
+        return 0.0
+    if x == b:
+        return -1.0
+    if x < b:
+        return (a - x) / (b - a)
+    return (x - c) / (c - b)
+
+
+def _paper_beta_cut(p, beta):
+    # dependent: [b + beta(b-a), b - beta(c-b)]
+    # independent: [a - beta(b-a), c + beta(c-b)]
+    a, b, c = p.a, p.b, p.c
+    if p.kind is Kind.DEPENDENT:
+        return b + beta * (b - a), b - beta * (c - b)
+    return a - beta * (b - a), c + beta * (c - b)
+
+
+def _with_degenerate_sides(shape):
+    a, c = shape.a, shape.c
+    return shape, TriangleShape(a, a, c), TriangleShape(a, c, c)
+
+
+def _criterion_4_draws():
+    # the shapes and beta levels criterion 4 draws from its seed
+    rng = random.Random(404)
+    for _ in range(1000):
+        shape = _conditioned_shape(rng)
+        betas = []
+        for _ in range(50):
+            rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)  # its two alpha levels
+            betas.append(-rng.uniform(0.0, 1.0))
+        yield shape, betas
+
+
+def test_explicit_lambda_formulas():
+    failures = []
+    for kind, seed in ((Kind.DEPENDENT, 101), (Kind.INDEPENDENT, 202)):
+        rng = random.Random(seed)  # criteria 1 and 2's shapes
+        for _ in range(1000):
+            for shape in _with_degenerate_sides(_sorted_shape(rng)):
+                p = PseudoTfn(shape, kind)
+                for x in _window_samples(shape, 100) + [shape.a, shape.b, shape.c]:
+                    want = _paper_lambda(p, x)
+                    for got in (lambda_at(p, x), pair_at(p, x).lam):
+                        if abs(got - want) > 1e-12:
+                            failures.append((shape, kind, x, got, want))
+    assert not failures, f"{len(failures)} violations, first: {failures[0]}"
+
+
+def test_explicit_beta_cut_formulas():
+    failures = []
+    for base, betas in _criterion_4_draws():
+        for shape in _with_degenerate_sides(base):
+            for kind in Kind:
+                p = PseudoTfn(shape, kind)
+                for beta in [-1.0, 0.0] + betas:
+                    got = beta_cut_lambda(p, beta)
+                    lo, hi = _paper_beta_cut(p, beta)
+                    if abs(got.lo - lo) > 1e-9 or abs(got.hi - hi) > 1e-9:
+                        failures.append((shape, kind, beta, got, (lo, hi)))
+    assert not failures, f"{len(failures)} violations, first: {failures[0]}"
+
+
+def test_independent_lambda_is_positive_zero_where_mu_is_zero():
+    p = PseudoTfn.independent(0, 1, 2)
+    for x in (-5.0, 0.0, 2.0, 7.0):
+        for lam in (lambda_at(p, x), pair_at(p, x).lam):
+            assert math.copysign(1.0, lam) == 1.0, (x, lam)
 
 
 def _scale_brute_force(p, k, grid, levels):

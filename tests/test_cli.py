@@ -74,6 +74,18 @@ ERROR_CASES = [
     (["arith", "mul", IND, DEP], None, 4),
     (["arith", "div", DEP2, STRADDLE], None, 5),
     (["arith", "div", DEP2, DEP], None, 5),
+    (["eval", "-", "1"], '{"a":0,"b":1,"c":2,"kind":"dependent","a":0.5}', 2),
+    (["eval", str(DATA / "not_utf8.json"), "1"], None, 2),
+]
+
+# negative numbers in exponent form are values, not option flags
+EXPONENT_CASES = [
+    (["classify", "1e-05", "-7.7e-05"], b"A\n"),
+    (["cut", DEP, "lambda", "-7.7e-05"], b"0.999923,1.000077\n"),
+    (
+        ["curve", DEP, "--n", "3", "--xmin", "-1e308", "--xmax", "1"],
+        b"x,mu,lambda\n-1e+308,0,-1\n-5e+307,0,-1\n1,1,0\n",
+    ),
 ]
 
 
@@ -99,6 +111,13 @@ def test_error_exit_codes(argv, stdin, code):
     assert result.returncode == code
     assert result.stdout == b""
     assert result.stderr != b""
+
+
+@pytest.mark.parametrize("argv,stdout", EXPONENT_CASES)
+def test_exponent_form_negative_numbers(argv, stdout):
+    result = run_cli(argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == stdout
 
 
 def test_unknown_subcommand_is_usage_error():
