@@ -12,16 +12,17 @@ lam = -mu independent), so operands must share a kind.
 extension_oracle is the independent cross-check: it lifts the crisp
 operation pointwise over sampled supports with the sup-min rule and bins
 the results by membership level. It shares no code with the fast paths.
+It is the package's only numpy user, and imports numpy on its first
+call, so importing the package and every CLI command never load it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .core import DEFAULT_EPS, MembershipPair, _require_finite
 from .errors import (
@@ -33,6 +34,9 @@ from .errors import (
     ZeroScale,
 )
 from .ptfn import Interval, Kind, PseudoTfn, TriangleShape, _lam, alpha_cut_mu, mu_at
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_LEVELS = 11
 DEFAULT_ORACLE_GRID = 256
@@ -129,24 +133,41 @@ def scale(p: PseudoTfn, k: float) -> PseudoTfn:
 
 def _interval_mul(u: Interval, v: Interval) -> Interval:
     products = (u.lo * v.lo, u.lo * v.hi, u.hi * v.lo, u.hi * v.hi)
-    return Interval(min(products), max(products))
+    try:
+        return Interval(min(products), max(products))
+    except NonFinite:
+        raise NonFinite(
+            f"product of cuts [{u.lo!r}, {u.hi!r}] and [{v.lo!r}, {v.hi!r}] is not finite"
+        ) from None
 
 
-def _tabulate(kind: Kind, levels: int, cut_at: Callable[[float], Interval]) -> CutTable:
-    """CutTable of cut_at(alpha) at levels equally spaced alphas."""
-    return CutTable(tuple((alpha, cut_at(alpha)) for alpha in _level_values(levels)), kind)
+def _tabulate(op: str, kind: Kind, levels: int, cut_at: Callable[[float], Interval]) -> CutTable:
+    """CutTable of cut_at(alpha) at levels equally spaced alphas.
+
+    A non-finite endpoint is reported with the operation and the level.
+    """
+    rows = []
+    for alpha in _level_values(levels):
+        try:
+            rows.append((alpha, cut_at(alpha)))
+        except NonFinite as exc:
+            raise NonFinite(f"{op} overflows at alpha={alpha!r}: {exc}") from None
+    return CutTable(tuple(rows), kind)
 
 
 def cut_table(p: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
     """Tabulate the alpha-cuts of a PTFN at equally spaced levels."""
-    return _tabulate(p.kind, levels, lambda alpha: alpha_cut_mu(p, alpha))
+    return _tabulate("cut_table", p.kind, levels, lambda alpha: alpha_cut_mu(p, alpha))
 
 
 def mul(p: PseudoTfn, q: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
     """Per-level interval product: extremes of the four endpoint products."""
     kind = _require_same_kind(p, q)
     return _tabulate(
-        kind, levels, lambda alpha: _interval_mul(alpha_cut_mu(p, alpha), alpha_cut_mu(q, alpha))
+        "mul",
+        kind,
+        levels,
+        lambda alpha: _interval_mul(alpha_cut_mu(p, alpha), alpha_cut_mu(q, alpha)),
     )
 
 
@@ -157,23 +178,41 @@ def div(p: PseudoTfn, q: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
 
     def quotient(alpha: float) -> Interval:
         den = alpha_cut_mu(q, alpha)
-        return _interval_mul(alpha_cut_mu(p, alpha), Interval(1.0 / den.hi, 1.0 / den.lo))
+        try:
+            return _interval_mul(alpha_cut_mu(p, alpha), Interval(1.0 / den.hi, 1.0 / den.lo))
+        except NonFinite:
+            raise NonFinite(
+                f"quotient by divisor cut [{den.lo!r}, {den.hi!r}] is not finite"
+            ) from None
 
-    return _tabulate(kind, levels, quotient)
+    return _tabulate("div", kind, levels, quotient)
+
+
+def __getattr__(name: str):
+    # PEP 562: arith.np resolves to numpy on demand, for callers that
+    # reach the oracle's array type through this module
+    if name == "np":
+        import numpy
+
+        return numpy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _oracle_samples(p: PseudoTfn, grid: int) -> np.ndarray:
+    import numpy as np
+
     # grid uniform subintervals over the support, plus the peak so the
     # level set at alpha = 1 is never empty
     xs = np.linspace(p.a, p.c, grid + 1)
     return np.unique(np.append(xs, p.b))
 
 
+# on ndarrays these dispatch to numpy's add, subtract, multiply, divide
 _ORACLE_OPS = {
-    BinaryOpCode.ADD: np.add,
-    BinaryOpCode.SUB: np.subtract,
-    BinaryOpCode.MUL: np.multiply,
-    BinaryOpCode.DIV: np.divide,
+    BinaryOpCode.ADD: operator.add,
+    BinaryOpCode.SUB: operator.sub,
+    BinaryOpCode.MUL: operator.mul,
+    BinaryOpCode.DIV: operator.truediv,
 }
 
 
@@ -193,6 +232,8 @@ def extension_oracle(
     cut arithmetic at rate (support width) / grid_per_operand per
     operand.
     """
+    import numpy as np
+
     kind = _require_same_kind(p, q)
     if grid_per_operand != int(grid_per_operand) or grid_per_operand < 16:
         raise BadCount(f"need grid_per_operand >= 16, got {grid_per_operand!r}")

@@ -5,7 +5,7 @@ exactly the fields a, b, c (numbers) and kind ("dependent" or
 "independent"). Commands read the document from a file path or from
 standard input when the path is "-".
 
-Exit codes: 0 success, 2 parse/format error, 3 domain error, 4 kind
+Exit codes: 0 success, 2 parse/format/I-O error, 3 domain error, 4 kind
 mismatch, 5 divisor straddles zero.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -112,7 +113,9 @@ def parse_ptfn(text: str | bytes) -> PseudoTfn:
 def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # bytes, decoded strictly: the text layer may use surrogateescape
+            stream = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if stream is None else stream.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
@@ -283,13 +286,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    # the unwritten rows stay buffered; pointing the descriptor at devnull
+    # keeps the interpreter's flush at exit from failing a second time
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # a stream with no descriptor, or closed
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except PseudoFuzzyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    except OSError as exc:  # reads report DocumentError, so this is a write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _discard_stdout()
+        return EXIT_PARSE
 
 
 def entry() -> None:

@@ -131,6 +131,15 @@ class TestMul:
             assert inner.lo >= outer.lo - 1e-12
             assert inner.hi <= outer.hi + 1e-12
 
+    def test_overflow_names_operation_level_and_cuts(self):
+        huge = PseudoTfn.dependent(1e200, 2e200, 3e200)
+        with pytest.raises(NonFinite) as info:
+            mul(huge, huge, 3)
+        assert str(info.value) == (
+            "mul overflows at alpha=0.0: "
+            "product of cuts [1e+200, 3e+200] and [1e+200, 3e+200] is not finite"
+        )
+
 
 class TestDiv:
     def test_peak_ratio(self):
@@ -158,6 +167,20 @@ class TestDiv:
     def test_kind_mismatch(self):
         with pytest.raises(KindMismatch):
             div(IND, DEP2, 5)
+
+    @pytest.mark.parametrize(
+        "p,foot",
+        [
+            (DEP2, 1e-320),  # the reciprocal of the foot overflows
+            (PseudoTfn.dependent(1e300, 2e300, 3e300), 1e-10),  # the product does
+        ],
+    )
+    def test_overflow_names_level_and_divisor_cut(self, p, foot):
+        with pytest.raises(NonFinite) as info:
+            div(p, PseudoTfn.dependent(foot, 1, 2), 3)
+        assert str(info.value) == (
+            f"div overflows at alpha=0.0: quotient by divisor cut [{foot!r}, 2.0] is not finite"
+        )
 
 
 class TestCutTable:

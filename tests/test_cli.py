@@ -1,8 +1,10 @@
 """CLI contract tests: golden stdout per subcommand, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -89,11 +91,12 @@ EXPONENT_CASES = [
 ]
 
 
-def run_cli(argv, stdin=None):
+def run_cli(argv, stdin=None, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "pseudofuzzy", *argv],
-        input=stdin.encode() if stdin is not None else None,
+        input=stdin.encode() if isinstance(stdin, str) else stdin,
         capture_output=True,
+        **kwargs,
     )
 
 
@@ -118,6 +121,106 @@ def test_exponent_form_negative_numbers(argv, stdout):
     result = run_cli(argv)
     assert result.returncode == 0, result.stderr
     assert result.stdout == stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_write_failure_exits_2_without_traceback():
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "pseudofuzzy", "eval", str(SAMPLES / "demo_p.json"), "1"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+        )
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"error: cannot write output: ")
+    assert result.stderr.count(b"\n") == 1
+
+
+def test_closed_pipe_exits_2_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pseudofuzzy", "curve", str(SAMPLES / "demo_p.json"),
+         "--n", "100001"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"x,mu,lambda\n"
+    proc.stdout.close()  # as `| head -1` does
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert stderr.startswith(b"error: cannot write output: ")
+    assert stderr.count(b"\n") == 1
+
+
+# inherited environment, and the C locale, where stdin's text layer
+# decodes with surrogateescape
+@pytest.mark.parametrize("env", [None, {**os.environ, "LC_ALL": "C"}], ids=["default", "c_locale"])
+def test_non_utf8_stdin_is_reported(env):
+    doc = b'{"a":0,"b":1,"c":2,"kind":"dep\xffendent"}'
+    result = run_cli(["eval", "-", "1"], doc, env=env)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr.startswith(b"error: input is not UTF-8: ")
+
+
+@pytest.mark.parametrize(
+    "op,message",
+    [
+        ("div", b"div overflows at alpha=0.0: quotient by divisor cut [1e-320, 2.0] is not finite"),
+        ("mul", b"mul overflows at alpha=0.0: product of cuts [1e+200, 3e+200] and "
+                b"[1e+200, 3e+200] is not finite"),
+    ],
+)
+def test_overflow_error_names_operation_and_level(tmp_path, op, message):
+    # div: a divisor foot of 1e-320; mul: (1e200, 2e200, 3e200) by itself
+    tiny = tmp_path / "tiny_foot.json"
+    tiny.write_text('{"a":1e-320,"b":1,"c":2,"kind":"dependent"}')
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"a":1e200,"b":2e200,"c":3e200,"kind":"dependent"}')
+    operands = [DEP2, str(tiny)] if op == "div" else [str(huge), str(huge)]
+    result = run_cli(["arith", op, *operands])
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr == b"error: " + message + b"\n"
+
+
+def test_cli_never_imports_numpy():
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import pseudofuzzy
+        from pseudofuzzy import arith, cli
+
+        p, q = {str(SAMPLES / "demo_p.json")!r}, {str(SAMPLES / "demo_q.json")!r}
+        for argv in (
+            ["eval", p, "0.25"],
+            ["curve", p, "--n", "11"],
+            ["classify", "0.3", "-0.4"],
+            ["cut", p, "mu", "0.5"],
+            ["arith", "add", p, q],
+            ["arith", "sub", p, q],
+            ["arith", "mul", p, q],
+            ["arith", "div", q, q],
+            ["verify", p],
+            ["verify", {TAMPERED!r}, "--table", "--kind", "dependent"],
+        ):
+            assert cli.main(argv) == 0, argv
+        assert "numpy" not in sys.modules
+
+        pseudofuzzy.extension_oracle(
+            pseudofuzzy.PseudoTfn.dependent(0, 1, 2),
+            pseudofuzzy.PseudoTfn.dependent(1, 2, 3),
+            pseudofuzzy.BinaryOpCode.MUL,
+        )
+        assert "numpy" in sys.modules
+        import numpy
+        assert arith.np is numpy
+        assert set(arith._ORACLE_OPS) == set(pseudofuzzy.BinaryOpCode)
+        print("checked")
+        """
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith(b"checked\n")
 
 
 def test_unknown_subcommand_is_usage_error():
