@@ -3,7 +3,10 @@
 Addition, subtraction, and scaling stay triangular, so they return a new
 PseudoTfn with the closed-form shape. Products and quotients of triangles
 are not triangular; mul and div therefore return a CutTable: interval
-endpoints tabulated at equally spaced levels in [0, 1].
+endpoints tabulated at equally spaced levels in [0, 1]. A table is
+computed as a stream of (alpha, lo, hi) float rows: cut_table, mul and div
+collect it into a CutTable, and the CLI writes it out as it comes.
+_nested_rows holds the rules of a table for both.
 
 All positive-membership machinery is kind-agnostic; the negative grade of
 any result is recovered from the kind identity (lam = mu - 1 dependent,
@@ -22,7 +25,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .core import DEFAULT_EPS, MembershipPair, _require_finite
 from .errors import (
@@ -33,13 +36,16 @@ from .errors import (
     NonFinite,
     ZeroScale,
 )
-from .ptfn import Interval, Kind, PseudoTfn, TriangleShape, _lam, alpha_cut_mu, mu_at
+from .ptfn import Interval, Kind, PseudoTfn, TriangleShape, _cut, _lam, mu_at
 
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_LEVELS = 11
 DEFAULT_ORACLE_GRID = 256
+
+Span = tuple[float, float]  # (lo, hi) of an interval
+Row = tuple[float, float, float]  # (alpha, lo, hi) of a cut table
 
 
 class BinaryOpCode(enum.Enum):
@@ -64,19 +70,8 @@ class CutTable:
     def __post_init__(self) -> None:
         rows = tuple((float(alpha), interval) for alpha, interval in self.rows)
         object.__setattr__(self, "rows", rows)
-        if len(rows) < 2:
-            raise InvalidCutTable(f"need at least 2 rows, got {len(rows)}")
-        if rows[0][0] != 0.0 or rows[-1][0] != 1.0:
-            raise InvalidCutTable("levels must start at 0 and end at 1")
-        for i in range(1, len(rows)):
-            if rows[i][0] <= rows[i - 1][0]:
-                raise InvalidCutTable(f"levels not strictly increasing at row {i}")
-            outer = rows[i - 1][1]
-            # slack scales with endpoint magnitude: endpoint products of
-            # wide triangles carry rounding beyond any absolute tolerance
-            slack = DEFAULT_EPS * max(1.0, abs(outer.lo), abs(outer.hi))
-            if not outer.contains_interval(rows[i][1], slack=slack):
-                raise InvalidCutTable(f"row {i} not nested inside row {i - 1}")
+        for _ in _nested_rows((alpha, interval.lo, interval.hi) for alpha, interval in rows):
+            pass
 
     @property
     def alphas(self) -> tuple[float, ...]:
@@ -87,17 +82,47 @@ class CutTable:
         return self.rows[0][1]
 
 
+def _nested_rows(rows: Iterable[Row]) -> Iterator[Row]:
+    """Pass (alpha, lo, hi) rows through, checking the rules of a CutTable.
+
+    Levels start at 0, rise strictly and end at 1; each row nests inside
+    the one before it. A row is checked before it is passed on; the row
+    count and the last level once the rows run out.
+    """
+    count = 0
+    for alpha, lo, hi in rows:
+        if count == 0:
+            if alpha != 0.0:
+                raise InvalidCutTable("levels must start at 0 and end at 1")
+        else:
+            if alpha <= last:
+                raise InvalidCutTable(f"levels not strictly increasing at row {count}")
+            # slack scales with endpoint magnitude: endpoint products of
+            # wide triangles carry rounding beyond any absolute tolerance
+            slack = DEFAULT_EPS * max(1.0, abs(outer_lo), abs(outer_hi))
+            if not (lo >= outer_lo - slack and hi <= outer_hi + slack):
+                raise InvalidCutTable(f"row {count} not nested inside row {count - 1}")
+        yield alpha, lo, hi
+        last, outer_lo, outer_hi = alpha, lo, hi
+        count += 1
+    if count < 2:
+        raise InvalidCutTable(f"need at least 2 rows, got {count}")
+    if last != 1.0:
+        raise InvalidCutTable("levels must start at 0 and end at 1")
+
+
 def _require_same_kind(p: PseudoTfn, q: PseudoTfn) -> Kind:
     if p.kind is not q.kind:
         raise KindMismatch(f"cannot combine {p.kind.value} with {q.kind.value}")
     return p.kind
 
 
-def _level_values(levels: int) -> list[float]:
+def _level_values(levels: int) -> Iterator[float]:
+    """Check now; later yield levels equally spaced alphas from 0 to 1."""
     if levels != int(levels) or levels < 2:
         raise BadCount(f"need levels >= 2, got {levels!r}")
-    levels = int(levels)
-    return [j / (levels - 1) for j in range(levels)]
+    last = int(levels) - 1
+    return (j / last for j in range(last + 1))
 
 
 def _check_divisor(q: PseudoTfn) -> None:
@@ -105,16 +130,26 @@ def _check_divisor(q: PseudoTfn) -> None:
         raise DivisorStraddlesZero(f"divisor support [{q.a!r}, {q.c!r}] contains zero")
 
 
+def _feet(p: PseudoTfn) -> str:
+    return f"({p.a!r}, {p.b!r}, {p.c!r})"
+
+
 def add(p: PseudoTfn, q: PseudoTfn) -> PseudoTfn:
     """Level-cut sum; shape is the component-wise sum of the shapes."""
     kind = _require_same_kind(p, q)
-    return PseudoTfn(TriangleShape(p.a + q.a, p.b + q.b, p.c + q.c), kind)
+    try:
+        return PseudoTfn(TriangleShape(p.a + q.a, p.b + q.b, p.c + q.c), kind)
+    except NonFinite as exc:
+        raise NonFinite(f"add overflows on {_feet(p)} + {_feet(q)}: {exc}") from None
 
 
 def sub(p: PseudoTfn, q: PseudoTfn) -> PseudoTfn:
     """Level-cut difference: [lo1 - hi2, hi1 - lo2] at every level."""
     kind = _require_same_kind(p, q)
-    return PseudoTfn(TriangleShape(p.a - q.c, p.b - q.b, p.c - q.a), kind)
+    try:
+        return PseudoTfn(TriangleShape(p.a - q.c, p.b - q.b, p.c - q.a), kind)
+    except NonFinite as exc:
+        raise NonFinite(f"sub overflows on {_feet(p)} - {_feet(q)}: {exc}") from None
 
 
 def scale(p: PseudoTfn, k: float) -> PseudoTfn:
@@ -124,68 +159,97 @@ def scale(p: PseudoTfn, k: float) -> PseudoTfn:
         raise NonFinite(f"k must be finite, got {k!r}")
     if k == 0.0:
         raise ZeroScale("scaling by 0 collapses the triangle to a point")
-    if k > 0.0:
-        shape = TriangleShape(k * p.a, k * p.b, k * p.c)
-    else:
-        shape = TriangleShape(k * p.c, k * p.b, k * p.a)
-    return PseudoTfn(shape, p.kind)
-
-
-def _interval_mul(u: Interval, v: Interval) -> Interval:
-    products = (u.lo * v.lo, u.lo * v.hi, u.hi * v.lo, u.hi * v.hi)
+    feet = (k * p.a, k * p.b, k * p.c) if k > 0.0 else (k * p.c, k * p.b, k * p.a)
     try:
-        return Interval(min(products), max(products))
-    except NonFinite:
-        raise NonFinite(
-            f"product of cuts [{u.lo!r}, {u.hi!r}] and [{v.lo!r}, {v.hi!r}] is not finite"
-        ) from None
+        return PseudoTfn(TriangleShape(*feet), p.kind)
+    except NonFinite as exc:
+        raise NonFinite(f"scale overflows on {_feet(p)} * {k!r}: {exc}") from None
 
 
-def _tabulate(op: str, kind: Kind, levels: int, cut_at: Callable[[float], Interval]) -> CutTable:
-    """CutTable of cut_at(alpha) at levels equally spaced alphas.
+def _span(span: Span) -> Span:
+    """span if Interval(*span) holds it; otherwise Interval's error."""
+    lo, hi = span
+    if not -math.inf < lo <= hi < math.inf:
+        Interval(lo, hi)
+    return span
+
+
+def _cut_of(p: PseudoTfn) -> Callable[[float], Span]:
+    """alpha -> the endpoints of alpha_cut_mu(p, alpha), for alpha in [0, 1]."""
+    a, b, c = p.a, p.b, p.c
+    return lambda alpha: _span(_cut(a, b, c, alpha))
+
+
+def _interval_mul(u: Span, v: Span) -> Span:
+    (ulo, uhi), (vlo, vhi) = u, v
+    products = (ulo * vlo, ulo * vhi, uhi * vlo, uhi * vhi)
+    lo, hi = min(products), max(products)
+    if not -math.inf < lo <= hi < math.inf:
+        raise NonFinite(f"product of cuts [{ulo!r}, {uhi!r}] and [{vlo!r}, {vhi!r}] is not finite")
+    return lo, hi
+
+
+def _tabulate(op: str, alphas: Iterable[float], cut_at: Callable[[float], Span]) -> Iterator[Row]:
+    """Yield (alpha, lo, hi) with (lo, hi) = cut_at(alpha) for each alpha.
 
     A non-finite endpoint is reported with the operation and the level.
     """
-    rows = []
-    for alpha in _level_values(levels):
+    for alpha in alphas:
         try:
-            rows.append((alpha, cut_at(alpha)))
+            lo, hi = cut_at(alpha)
         except NonFinite as exc:
             raise NonFinite(f"{op} overflows at alpha={alpha!r}: {exc}") from None
-    return CutTable(tuple(rows), kind)
+        yield alpha, lo, hi
+
+
+def _table(rows: Iterable[Row], kind: Kind) -> CutTable:
+    return CutTable(tuple((alpha, Interval(lo, hi)) for alpha, lo, hi in rows), kind)
+
+
+def _cut_rows(p: PseudoTfn, levels: int) -> Iterator[Row]:
+    return _tabulate("cut_table", _level_values(levels), _cut_of(p))
+
+
+def _mul_rows(p: PseudoTfn, q: PseudoTfn, levels: int) -> Iterator[Row]:
+    _require_same_kind(p, q)
+    u, v = _cut_of(p), _cut_of(q)
+
+    def product(alpha: float) -> Span:
+        return _interval_mul(u(alpha), v(alpha))
+
+    return _tabulate("mul", _level_values(levels), product)
+
+
+def _div_rows(p: PseudoTfn, q: PseudoTfn, levels: int) -> Iterator[Row]:
+    _require_same_kind(p, q)
+    _check_divisor(q)
+    u, v = _cut_of(p), _cut_of(q)
+
+    def quotient(alpha: float) -> Span:
+        den_lo, den_hi = v(alpha)
+        try:
+            return _interval_mul(u(alpha), _span((1.0 / den_hi, 1.0 / den_lo)))
+        except NonFinite:
+            raise NonFinite(
+                f"quotient by divisor cut [{den_lo!r}, {den_hi!r}] is not finite"
+            ) from None
+
+    return _tabulate("div", _level_values(levels), quotient)
 
 
 def cut_table(p: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
     """Tabulate the alpha-cuts of a PTFN at equally spaced levels."""
-    return _tabulate("cut_table", p.kind, levels, lambda alpha: alpha_cut_mu(p, alpha))
+    return _table(_cut_rows(p, levels), p.kind)
 
 
 def mul(p: PseudoTfn, q: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
     """Per-level interval product: extremes of the four endpoint products."""
-    kind = _require_same_kind(p, q)
-    return _tabulate(
-        "mul",
-        kind,
-        levels,
-        lambda alpha: _interval_mul(alpha_cut_mu(p, alpha), alpha_cut_mu(q, alpha)),
-    )
+    return _table(_mul_rows(p, q, levels), p.kind)
 
 
 def div(p: PseudoTfn, q: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
     """Per-level interval quotient: product with the reciprocal interval."""
-    kind = _require_same_kind(p, q)
-    _check_divisor(q)
-
-    def quotient(alpha: float) -> Interval:
-        den = alpha_cut_mu(q, alpha)
-        try:
-            return _interval_mul(alpha_cut_mu(p, alpha), Interval(1.0 / den.hi, 1.0 / den.lo))
-        except NonFinite:
-            raise NonFinite(
-                f"quotient by divisor cut [{den.lo!r}, {den.hi!r}] is not finite"
-            ) from None
-
-    return _tabulate("div", kind, levels, quotient)
+    return _table(_div_rows(p, q, levels), p.kind)
 
 
 def __getattr__(name: str):

@@ -13,13 +13,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import arith
-from .core import DEFAULT_EPS, classify_case, validate_pair, validate_set
+from .core import (
+    DEFAULT_EPS,
+    _as_element,
+    _require_after,
+    _require_eps,
+    classify_case,
+    validate_pair,
+)
 from .errors import (
     DivisorStraddlesZero,
     DocumentError,
@@ -31,13 +40,17 @@ from .ptfn import (
     PseudoTfn,
     TriangleShape,
     _default_window,
+    _first_violation,
+    _sample,
     alpha_cut_mu,
     beta_cut_lambda,
-    discretize,
     kind_violation,
     pair_at,
-    set_kind_violation,
 )
+
+# no command calls these: kept because the benchmark's traced replay wraps them as cli.<name>
+from .core import validate_set  # noqa: F401
+from .ptfn import discretize, set_kind_violation  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -54,6 +67,10 @@ _EXIT_CODES = (
 )
 
 _DOCUMENT_FIELDS = ("a", "b", "c", "kind")
+_CURVE_HEADER = "x,mu,lambda"
+
+# rows per write: one write call per chunk, and the memory of one chunk
+_CHUNK_ROWS = 4096
 
 
 def _fmt(value: float) -> str:
@@ -61,8 +78,23 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.12g}"
 
 
-def _row(*values: float) -> None:
-    print(",".join([_fmt(value) for value in values]))
+def _write_rows(head: str, rows: Iterable[Sequence[float]]) -> None:
+    """Write head, then each row as a CSV line, _CHUNK_ROWS rows per write.
+
+    A chunk is computed, and so checked, in full before it is written:
+    an error in the first chunk leaves stdout empty; a later one leaves
+    the chunks before it written.
+    """
+    rows = iter(rows)
+    while True:
+        chunk = [",".join([_fmt(value) for value in row]) + "\n"
+                 for row in islice(rows, _CHUNK_ROWS)]
+        text = head + "".join(chunk)
+        if text:
+            sys.stdout.write(text)  # looked up per call: callers may swap sys.stdout
+        if len(chunk) < _CHUNK_ROWS:
+            return
+        head = ""
 
 
 def _unique_fields(pairs: list[tuple[str, object]]) -> dict[str, object]:
@@ -128,31 +160,44 @@ def _load_ptfn(path: str) -> PseudoTfn:
     return parse_ptfn(_read_text(path))
 
 
-def _parse_curve_csv(text: str):
-    rows = []
-    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
-    if not lines or lines[0] != "x,mu,lambda":
-        raise DocumentError("curve CSV must start with header 'x,mu,lambda'")
-    for lineno, line in enumerate(lines[1:], start=2):
+def _curve_rows(text: str) -> Iterator[tuple[float, float, float]]:
+    """Yield the (x, mu, lam) rows of a curve CSV, checking each as it is read.
+
+    Blank lines and lines starting with # are skipped, and line numbers
+    count the lines kept, the header being line 1. Each row must hold
+    three numbers forming a valid element whose x comes after the
+    previous row's. The first defect raises DocumentError.
+    """
+    lines = (line for line in text.splitlines() if line and not line.startswith("#"))
+    if next(lines, None) != _CURVE_HEADER:
+        raise DocumentError(f"curve CSV must start with header '{_CURVE_HEADER}'")
+    inf = math.inf
+    prev = None
+    for i, line in enumerate(lines):
         parts = line.split(",")
         if len(parts) != 3:
-            raise DocumentError(f"line {lineno}: expected 3 comma-separated values")
+            raise DocumentError(f"line {i + 2}: expected 3 comma-separated values")
         try:
-            rows.append(tuple(float(part) for part in parts))
+            x, mu, lam = map(float, parts)
         except ValueError:
-            raise DocumentError(f"line {lineno}: non-numeric value") from None
-    if not rows:
+            raise DocumentError(f"line {i + 2}: non-numeric value") from None
+        try:
+            if not (-inf < x < inf and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0):
+                _as_element((x, mu, lam), i)
+            if i and not x > prev:
+                _require_after(i, prev, x)
+        except PseudoFuzzyError as exc:
+            raise DocumentError(f"invalid curve rows: {exc}") from None
+        yield x, mu, lam
+        prev = x
+    if prev is None:
         raise DocumentError("curve CSV has no data rows")
-    try:
-        return validate_set(rows)
-    except PseudoFuzzyError as exc:
-        raise DocumentError(f"invalid curve rows: {exc}") from None
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     p = _load_ptfn(args.ptfn)
     pair = pair_at(p, args.x)
-    _row(args.x, pair.mu, pair.lam)
+    _write_rows("", [(args.x, pair.mu, pair.lam)])
     return EXIT_OK
 
 
@@ -161,10 +206,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     lo, hi = _default_window(p)
     xmin = lo if args.xmin is None else args.xmin
     xmax = hi if args.xmax is None else args.xmax
-    dset = discretize(p, args.n, xmin, xmax)
-    print("x,mu,lambda")
-    for element in dset:
-        _row(element.x, element.pair.mu, element.pair.lam)
+    _write_rows(_CURVE_HEADER + "\n", _sample(p, args.n, xmin, xmax))
     return EXIT_OK
 
 
@@ -180,7 +222,7 @@ def cmd_cut(args: argparse.Namespace) -> int:
         interval = alpha_cut_mu(p, args.level)
     else:
         interval = beta_cut_lambda(p, args.level)
-    _row(interval.lo, interval.hi)
+    _write_rows("", [(interval.lo, interval.hi)])
     return EXIT_OK
 
 
@@ -189,15 +231,14 @@ def cmd_arith(args: argparse.Namespace) -> int:
         raise DocumentError("only one operand may come from stdin")
     p = _load_ptfn(args.ptfn1)
     q = _load_ptfn(args.ptfn2)
-    op = getattr(arith, args.op)
     if args.op in ("add", "sub"):
-        table = arith.cut_table(op(p, q), args.levels)
+        rows = arith._cut_rows(getattr(arith, args.op)(p, q), args.levels)
+    elif args.op == "mul":
+        rows = arith._mul_rows(p, q, args.levels)
     else:
-        table = op(p, q, args.levels)
-    print(f"# kind={table.kind.value}")
-    print("alpha,lo,hi")
-    for alpha, interval in table.rows:
-        _row(alpha, interval.lo, interval.hi)
+        rows = arith._div_rows(p, q, args.levels)
+    # each operation has checked that p and q share the kind of the result
+    _write_rows(f"# kind={p.kind.value}\nalpha,lo,hi\n", arith._nested_rows(rows))
     return EXIT_OK
 
 
@@ -205,8 +246,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.table:
         if args.kind is None:
             raise DocumentError("--table requires --kind")
-        dset = _parse_curve_csv(_read_text(args.input))
-        violation = set_kind_violation(dset, Kind(args.kind), args.eps)
+        rows = _curve_rows(_read_text(args.input))
+        violation = _first_violation(rows, Kind(args.kind), args.eps)
+        for _ in rows:  # the rest of the table is checked as well
+            pass
+        _require_eps(args.eps)  # after the table, whose defects take precedence
     else:
         p = _load_ptfn(args.input)
         violation = kind_violation(p, args.grid, args.eps)
@@ -307,12 +351,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()
         return code
     except PseudoFuzzyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+        return _report(f"error: {exc}", next(c for cls, c in _EXIT_CODES if isinstance(exc, cls)))
     except OSError as exc:  # reads report DocumentError, so this is a write
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
         _discard_stdout()
-        return EXIT_PARSE
+        return _report(f"error: cannot write output: {exc}", EXIT_PARSE)
+
+
+def _report(message: str, code: int) -> int:
+    """Print message on stderr and return code, which stands if stderr cannot be written."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
+    return code
 
 
 def entry() -> None:

@@ -86,6 +86,14 @@ class PseudoFuzzyElement:
             raise TypeError(f"pair must be a MembershipPair, got {type(self.pair).__name__}")
 
 
+def _require_after(index: int, prev: float, cur: float) -> None:
+    """Support point cur, at index, must come strictly after prev."""
+    if cur == prev:
+        raise DuplicateSupportPoint(f"duplicate support point x={cur!r} at index {index}")
+    if cur < prev:
+        raise UnsortedSupport(f"support not increasing at index {index}: {cur!r} < {prev!r}")
+
+
 @dataclass(frozen=True)
 class DiscretePseudoFuzzySet:
     """Finite pseudo fuzzy set: elements ordered by strictly increasing x."""
@@ -96,11 +104,7 @@ class DiscretePseudoFuzzySet:
         elements = tuple(self.elements)
         object.__setattr__(self, "elements", elements)
         for i in range(1, len(elements)):
-            prev, cur = elements[i - 1].x, elements[i].x
-            if cur == prev:
-                raise DuplicateSupportPoint(f"duplicate support point x={cur!r} at index {i}")
-            if cur < prev:
-                raise UnsortedSupport(f"support not increasing at index {i}: {cur!r} < {prev!r}")
+            _require_after(i, elements[i - 1].x, elements[i].x)
 
     def __iter__(self) -> Iterator[PseudoFuzzyElement]:
         return iter(self.elements)

@@ -26,6 +26,7 @@ peak value 1 taken at x == b. a == b == c is rejected at construction.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Optional
@@ -145,10 +146,8 @@ class PseudoTfn:
         return Interval(self.shape.a, self.shape.c)
 
 
-def mu_at(p: PseudoTfn, x: float) -> float:
-    """Positive membership at x; piecewise linear, 1 at the peak."""
-    x = _require_finite("x", x)
-    a, b, c = p.a, p.b, p.c
+def _mu(a: float, b: float, c: float, x: float) -> float:
+    """The membership kernel: mu at x of the triangle (a, b, c), unchecked."""
     if x < a or x > c:
         return 0.0
     if x == b:
@@ -156,6 +155,11 @@ def mu_at(p: PseudoTfn, x: float) -> float:
     if x < b:
         return (x - a) / (b - a)
     return (c - x) / (c - b)
+
+
+def mu_at(p: PseudoTfn, x: float) -> float:
+    """Positive membership at x; piecewise linear, 1 at the peak."""
+    return _mu(p.a, p.b, p.c, _require_finite("x", x))
 
 
 def _lam(kind: Kind, mu: float) -> float:
@@ -176,6 +180,18 @@ def pair_at(p: PseudoTfn, x: float) -> MembershipPair:
     return MembershipPair(mu, _lam(p.kind, mu))
 
 
+def _cut(a: float, b: float, c: float, alpha: float) -> tuple[float, float]:
+    """The cut kernel: (lo, hi) of the alpha-cut of the triangle (a, b, c), unchecked."""
+    if alpha == 1.0:
+        return b, b
+    lo = a + alpha * (b - a)
+    hi = c - alpha * (c - b)
+    # alpha within ulps of 1 can invert the endpoints by rounding
+    if lo > hi:
+        lo = hi = 0.5 * (lo + hi)
+    return lo, hi
+
+
 def alpha_cut_mu(p: PseudoTfn, alpha: float) -> Interval:
     """Level set {x : mu(x) >= alpha} as an interval.
 
@@ -185,15 +201,7 @@ def alpha_cut_mu(p: PseudoTfn, alpha: float) -> Interval:
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:  # NaN fails the chained comparison too
         raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha!r}")
-    a, b, c = p.a, p.b, p.c
-    if alpha == 1.0:
-        return Interval(b, b)
-    lo = a + alpha * (b - a)
-    hi = c - alpha * (c - b)
-    # alpha within ulps of 1 can invert the endpoints by rounding
-    if lo > hi:
-        lo = hi = 0.5 * (lo + hi)
-    return Interval(lo, hi)
+    return Interval(*_cut(p.a, p.b, p.c, alpha))
 
 
 def beta_cut_lambda(p: PseudoTfn, beta: float) -> Interval:
@@ -236,7 +244,12 @@ def _default_window(p: PseudoTfn) -> tuple[float, float]:
 
 
 def _sample(p: PseudoTfn, n: int, xmin: float, xmax: float, count: str = "n") -> Iterator:
-    """Check now; later yield (x, pair) at n even steps over [xmin, xmax]."""
+    """Check now; later yield (x, mu, lam) at n even steps over [xmin, xmax].
+
+    Each row is within the bounds that _require_finite and MembershipPair
+    enforce on x and on (mu, lam); a row that is not goes through them,
+    and they raise the error.
+    """
     if n != int(n) or n < 2:
         raise BadCount(f"need {count} >= 2 sample points, got {n!r}")
     n = int(n)
@@ -244,22 +257,36 @@ def _sample(p: PseudoTfn, n: int, xmin: float, xmax: float, count: str = "n") ->
     xmax = _require_finite("xmax", xmax)
     if not xmin < xmax:
         raise BadRange(f"need xmin < xmax, got [{xmin!r}, {xmax!r}]")
+    return _sample_rows(p, n, xmin, xmax)
+
+
+def _sample_rows(p: PseudoTfn, n: int, xmin: float, xmax: float) -> Iterator:
+    a, b, c, kind, inf = p.a, p.b, p.c, p.kind, math.inf
     span = xmax - xmin
-    xs = chain((xmin + (i * span) / (n - 1) for i in range(n - 1)), (xmax,))
-    return ((x, pair_at(p, x)) for x in xs)
+    for x in chain((xmin + (i * span) / (n - 1) for i in range(n - 1)), (xmax,)):
+        mu = _mu(a, b, c, x)
+        lam = _lam(kind, mu)
+        if not (-inf < x < inf and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0):
+            _require_finite("x", x)
+            MembershipPair(mu, lam)
+        yield x, mu, lam
 
 
 def discretize(p: PseudoTfn, n: int, xmin: float, xmax: float) -> DiscretePseudoFuzzySet:
     """Sample both grades at n equally spaced points of [xmin, xmax]."""
-    points = _sample(p, n, xmin, xmax)
-    return DiscretePseudoFuzzySet(tuple(PseudoFuzzyElement(x, pair) for x, pair in points))
+    rows = _sample(p, n, xmin, xmax)
+    return DiscretePseudoFuzzySet(
+        tuple(PseudoFuzzyElement(x, MembershipPair(mu, lam)) for x, mu, lam in rows)
+    )
 
 
-def _first_violation(points: Iterable, kind: Kind, eps: float) -> Optional[float]:
-    """x of the first (x, pair) whose lam is off the kind identity by more than eps."""
-    eps = _require_eps(eps)
-    for x, pair in points:
-        if abs(pair.lam - _lam(kind, pair.mu)) > eps:
+def _first_violation(rows: Iterable, kind: Kind, eps: float) -> Optional[float]:
+    """x of the first (x, mu, lam) row whose lam is off the kind identity by more than eps.
+
+    eps is not checked here. Rows after that one are left unread.
+    """
+    for x, mu, lam in rows:
+        if abs(lam - _lam(kind, mu)) > eps:
             return x
     return None
 
@@ -269,7 +296,8 @@ def kind_violation(p: PseudoTfn, grid: int, eps: float = DEFAULT_EPS) -> Optiona
 
     Samples grid points over the default window, one at a time.
     """
-    return _first_violation(_sample(p, grid, *_default_window(p), "grid"), p.kind, eps)
+    rows = _sample(p, grid, *_default_window(p), "grid")
+    return _first_violation(rows, p.kind, _require_eps(eps))
 
 
 def verify_kind(p: PseudoTfn, grid: int, eps: float = DEFAULT_EPS) -> bool:
@@ -281,4 +309,5 @@ def set_kind_violation(
     dset: DiscretePseudoFuzzySet, kind: Kind, eps: float = DEFAULT_EPS
 ) -> Optional[float]:
     """First x of a discrete set whose pair breaks the given kind rule."""
-    return _first_violation(((e.x, e.pair) for e in dset), kind, eps)
+    rows = ((e.x, e.pair.mu, e.pair.lam) for e in dset)
+    return _first_violation(rows, kind, _require_eps(eps))

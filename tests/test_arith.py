@@ -141,6 +141,29 @@ class TestMul:
         )
 
 
+HUGE = PseudoTfn.dependent(1e308, 1.5e308, 1.7e308)
+
+
+@pytest.mark.parametrize(
+    "result,message",
+    [
+        (lambda: add(HUGE, HUGE),
+         "add overflows on (1e+308, 1.5e+308, 1.7e+308) + "
+         "(1e+308, 1.5e+308, 1.7e+308): a must be finite, got inf"),
+        (lambda: sub(HUGE, scale(HUGE, -1.0)),
+         "sub overflows on (1e+308, 1.5e+308, 1.7e+308) - "
+         "(-1.7e+308, -1.5e+308, -1e+308): a must be finite, got inf"),
+        (lambda: scale(HUGE, -2.0),
+         "scale overflows on (1e+308, 1.5e+308, 1.7e+308) * -2.0: a must be finite, got -inf"),
+    ],
+    ids=["add", "sub", "scale"],
+)
+def test_shape_overflow_names_operation_and_operands(result, message):
+    with pytest.raises(NonFinite) as info:
+        result()
+    assert str(info.value) == message
+
+
 class TestDiv:
     def test_peak_ratio(self):
         rows = row_dict(div(DEP2, DEP2, 3))

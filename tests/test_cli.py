@@ -136,6 +136,18 @@ def test_write_failure_exits_2_without_traceback():
     assert result.stderr.count(b"\n") == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_stderr_write_failure_keeps_exit_code():
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "pseudofuzzy", "eval", str(DATA / "missing.json"), "1"],
+            stdout=subprocess.PIPE,
+            stderr=full,
+        )
+    assert result.returncode == 2
+    assert result.stdout == b""
+
+
 def test_closed_pipe_exits_2_without_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "pseudofuzzy", "curve", str(SAMPLES / "demo_p.json"),
@@ -181,6 +193,22 @@ def test_overflow_error_names_operation_and_level(tmp_path, op, message):
     assert result.returncode == 3
     assert result.stdout == b""
     assert result.stderr == b"error: " + message + b"\n"
+
+
+@pytest.mark.parametrize("op,sign", [("add", "+"), ("sub", "-")])
+def test_shape_overflow_names_operation(tmp_path, op, sign):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"a":1e308,"b":1.5e308,"c":1.7e308,"kind":"dependent"}')
+    low = tmp_path / "low.json"
+    low.write_text('{"a":-1.7e308,"b":-1.5e308,"c":-1e308,"kind":"dependent"}')
+    result = run_cli(["arith", op, str(huge), str(huge if op == "add" else low)])
+    assert result.returncode == 3
+    assert result.stdout == b""
+    q = "(1e+308, 1.5e+308, 1.7e+308)" if op == "add" else "(-1.7e+308, -1.5e+308, -1e+308)"
+    assert result.stderr == (
+        f"error: {op} overflows on (1e+308, 1.5e+308, 1.7e+308) {sign} {q}: "
+        "a must be finite, got inf\n"
+    ).encode()
 
 
 def test_cli_never_imports_numpy():
