@@ -4,9 +4,10 @@ Addition, subtraction, and scaling stay triangular, so they return a new
 PseudoTfn with the closed-form shape. Products and quotients of triangles
 are not triangular; mul and div therefore return a CutTable: interval
 endpoints tabulated at equally spaced levels in [0, 1]. A table is
-computed as a stream of (alpha, lo, hi) float rows: cut_table, mul and div
-collect it into a CutTable, and the CLI writes it out as it comes.
-_nested_rows holds the rules of a table for both.
+computed as a stream of (alpha, lo, hi) float rows, by one loop per table
+that calls the cut kernel and checks each row inline: cut_table, mul and
+div collect the stream into a CutTable, and the CLI writes it out as it
+comes. _nested_rows holds the rules of a table for both.
 
 All positive-membership machinery is kind-agnostic; the negative grade of
 any result is recovered from the kind identity (lam = mu - 1 dependent,
@@ -24,8 +25,9 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional
 
 from .core import DEFAULT_EPS, MembershipPair, _require_finite
 from .errors import (
@@ -44,7 +46,6 @@ if TYPE_CHECKING:
 DEFAULT_LEVELS = 11
 DEFAULT_ORACLE_GRID = 256
 
-Span = tuple[float, float]  # (lo, hi) of an interval
 Row = tuple[float, float, float]  # (alpha, lo, hi) of a cut table
 
 
@@ -117,12 +118,11 @@ def _require_same_kind(p: PseudoTfn, q: PseudoTfn) -> Kind:
     return p.kind
 
 
-def _level_values(levels: int) -> Iterator[float]:
-    """Check now; later yield levels equally spaced alphas from 0 to 1."""
+def _last_level(levels: int) -> int:
+    """The index of the last of levels equally spaced alphas; level j is j / last."""
     if levels != int(levels) or levels < 2:
         raise BadCount(f"need levels >= 2, got {levels!r}")
-    last = int(levels) - 1
-    return (j / last for j in range(last + 1))
+    return int(levels) - 1
 
 
 def _check_divisor(q: PseudoTfn) -> None:
@@ -166,40 +166,25 @@ def scale(p: PseudoTfn, k: float) -> PseudoTfn:
         raise NonFinite(f"scale overflows on {_feet(p)} * {k!r}: {exc}") from None
 
 
-def _span(span: Span) -> Span:
-    """span if Interval(*span) holds it; otherwise Interval's error."""
-    lo, hi = span
-    if not -math.inf < lo <= hi < math.inf:
-        Interval(lo, hi)
-    return span
+def _overflow(op: str, alpha: float, p: PseudoTfn, q: Optional[PseudoTfn] = None) -> NoReturn:
+    """Raise the error of the row of op at alpha, which failed its inline check.
 
-
-def _cut_of(p: PseudoTfn) -> Callable[[float], Span]:
-    """alpha -> the endpoints of alpha_cut_mu(p, alpha), for alpha in [0, 1]."""
-    a, b, c = p.a, p.b, p.c
-    return lambda alpha: _span(_cut(a, b, c, alpha))
-
-
-def _interval_mul(u: Span, v: Span) -> Span:
-    (ulo, uhi), (vlo, vhi) = u, v
-    products = (ulo * vlo, ulo * vhi, uhi * vlo, uhi * vhi)
-    lo, hi = min(products), max(products)
-    if not -math.inf < lo <= hi < math.inf:
-        raise NonFinite(f"product of cuts [{ulo!r}, {uhi!r}] and [{vlo!r}, {vhi!r}] is not finite")
-    return lo, hi
-
-
-def _tabulate(op: str, alphas: Iterable[float], cut_at: Callable[[float], Span]) -> Iterator[Row]:
-    """Yield (alpha, lo, hi) with (lo, hi) = cut_at(alpha) for each alpha.
-
-    A non-finite endpoint is reported with the operation and the level.
+    A cut that is not a finite interval (p's for cut_table, p's then q's
+    for mul, the divisor q's for div) is reported as Interval reports it;
+    past those, the product or the quotient is not finite.
     """
-    for alpha in alphas:
-        try:
-            lo, hi = cut_at(alpha)
-        except NonFinite as exc:
-            raise NonFinite(f"{op} overflows at alpha={alpha!r}: {exc}") from None
-        yield alpha, lo, hi
+    operands = {"cut_table": (p,), "mul": (p, q), "div": (q,)}[op]
+    try:
+        cuts = [Interval(*_cut(t.a, t.b, t.c, alpha)) for t in operands]
+    except NonFinite as exc:
+        raise NonFinite(f"{op} overflows at alpha={alpha!r}: {exc}") from None
+    if op == "mul":
+        u, v = cuts
+        reason = f"product of cuts [{u.lo!r}, {u.hi!r}] and [{v.lo!r}, {v.hi!r}] is not finite"
+    else:
+        (v,) = cuts
+        reason = f"quotient by divisor cut [{v.lo!r}, {v.hi!r}] is not finite"
+    raise NonFinite(f"{op} overflows at alpha={alpha!r}: {reason}")
 
 
 def _table(rows: Iterable[Row], kind: Kind) -> CutTable:
@@ -207,34 +192,46 @@ def _table(rows: Iterable[Row], kind: Kind) -> CutTable:
 
 
 def _cut_rows(p: PseudoTfn, levels: int) -> Iterator[Row]:
-    return _tabulate("cut_table", _level_values(levels), _cut_of(p))
+    """Yield (alpha, lo, hi): the alpha-cuts of p at levels equally spaced levels."""
+    last = _last_level(levels)
+    a, b, c, inf = p.a, p.b, p.c, math.inf
+    for j in range(last + 1):
+        alpha = j / last
+        lo, hi = _cut(a, b, c, alpha)
+        if not -inf < lo <= hi < inf:
+            _overflow("cut_table", alpha, p)
+        yield alpha, lo, hi
 
 
-def _mul_rows(p: PseudoTfn, q: PseudoTfn, levels: int) -> Iterator[Row]:
+def _product_rows(op: str, p: PseudoTfn, q: PseudoTfn, levels: int) -> Iterator[Row]:
+    """Yield (alpha, lo, hi) at levels equally spaced levels: the extremes of
+    the four endpoint products of p's cut and q's (mul) or its reciprocal (div).
+
+    A divisor's feet share a sign, so its cuts are finite and not 0.
+    """
     _require_same_kind(p, q)
-    u, v = _cut_of(p), _cut_of(q)
-
-    def product(alpha: float) -> Span:
-        return _interval_mul(u(alpha), v(alpha))
-
-    return _tabulate("mul", _level_values(levels), product)
-
-
-def _div_rows(p: PseudoTfn, q: PseudoTfn, levels: int) -> Iterator[Row]:
-    _require_same_kind(p, q)
-    _check_divisor(q)
-    u, v = _cut_of(p), _cut_of(q)
-
-    def quotient(alpha: float) -> Span:
-        den_lo, den_hi = v(alpha)
-        try:
-            return _interval_mul(u(alpha), _span((1.0 / den_hi, 1.0 / den_lo)))
-        except NonFinite:
-            raise NonFinite(
-                f"quotient by divisor cut [{den_lo!r}, {den_hi!r}] is not finite"
-            ) from None
-
-    return _tabulate("div", _level_values(levels), quotient)
+    div, inf = op == "div", math.inf
+    if div:
+        _check_divisor(q)
+    last = _last_level(levels)
+    pa, pb, pc, qa, qb, qc = p.a, p.b, p.c, q.a, q.b, q.c
+    for j in range(last + 1):
+        alpha = j / last
+        ulo, uhi = _cut(pa, pb, pc, alpha)
+        vlo, vhi = _cut(qa, qb, qc, alpha)
+        if div:
+            vlo, vhi = 1.0 / vhi, 1.0 / vlo
+        # min() and max() of the products without their call cost: on
+        # finite cuts no product is NaN, and ties keep the first, as there
+        lo = hi = ulo * vlo
+        for product in (ulo * vhi, uhi * vlo, uhi * vhi):
+            if product < lo:
+                lo = product
+            elif product > hi:
+                hi = product
+        if not (-inf < ulo <= uhi < inf and -inf < vlo <= vhi < inf and -inf < lo <= hi < inf):
+            _overflow(op, alpha, p, q)
+        yield alpha, lo, hi
 
 
 def cut_table(p: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
@@ -244,12 +241,12 @@ def cut_table(p: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
 
 def mul(p: PseudoTfn, q: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
     """Per-level interval product: extremes of the four endpoint products."""
-    return _table(_mul_rows(p, q, levels), p.kind)
+    return _table(_product_rows("mul", p, q, levels), p.kind)
 
 
 def div(p: PseudoTfn, q: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
     """Per-level interval quotient: product with the reciprocal interval."""
-    return _table(_div_rows(p, q, levels), p.kind)
+    return _table(_product_rows("div", p, q, levels), p.kind)
 
 
 def __getattr__(name: str):
@@ -303,7 +300,7 @@ def extension_oracle(
         raise BadCount(f"need grid_per_operand >= 16, got {grid_per_operand!r}")
     if op is BinaryOpCode.DIV:
         _check_divisor(q)
-    level_values = _level_values(levels)
+    last = _last_level(levels)
     grid = int(grid_per_operand)
 
     xs = _oracle_samples(p, grid)
@@ -315,7 +312,8 @@ def extension_oracle(
     memberships = np.minimum(mu_x[:, None], mu_y[None, :])
 
     rows = []
-    for alpha in level_values:
+    for j in range(last + 1):
+        alpha = j / last
         reached = results[memberships >= alpha]
         rows.append((alpha, Interval(float(reached.min()), float(reached.max()))))
     return CutTable(tuple(rows), kind)
@@ -336,9 +334,10 @@ def lambda_of_result(table: CutTable, x: float) -> MembershipPair:
     elif rows[-1][1].contains(x):
         mu = 1.0
     else:
-        k = 0
-        while rows[k + 1][1].contains(x):
-            k += 1
+        # row 0 holds x and the last row does not: bisect for a row k
+        # that holds x where row k + 1 does not, in a nested table the
+        # last row that holds x
+        k = bisect_left(rows, True, 1, len(rows) - 1, key=lambda row: not row[1].contains(x)) - 1
         alpha_lo, wide = rows[k]
         alpha_hi, narrow = rows[k + 1]
         if x < narrow.lo:

@@ -17,7 +17,8 @@ import math
 import os
 import re
 import sys
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import arith
@@ -71,6 +72,11 @@ _CURVE_HEADER = "x,mu,lambda"
 
 # rows per write: one write call per chunk, and the memory of one chunk
 _CHUNK_ROWS = 4096
+# a row of three values as _fmt writes them; "%.12g" % v is f"{v:.12g}"
+_ROW = "%.12g,%.12g,%.12g\n"
+_CHUNK = _ROW * _CHUNK_ROWS
+# bytes of a CSV table decoded and split at a time
+_BLOCK_BYTES = 1 << 16
 
 
 def _fmt(value: float) -> str:
@@ -79,20 +85,22 @@ def _fmt(value: float) -> str:
 
 
 def _write_rows(head: str, rows: Iterable[Sequence[float]]) -> None:
-    """Write head, then each row as a CSV line, _CHUNK_ROWS rows per write.
+    """Write head, then each three-value row as a CSV line, _CHUNK_ROWS rows per write.
 
-    A chunk is computed, and so checked, in full before it is written:
-    an error in the first chunk leaves stdout empty; a later one leaves
-    the chunks before it written.
+    Values are formatted as _fmt does, a chunk at a time. A chunk is
+    computed, and so checked, in full before it is written: an error in
+    the first chunk leaves stdout empty; a later one leaves the chunks
+    before it written.
     """
     rows = iter(rows)
     while True:
-        chunk = [",".join([_fmt(value) for value in row]) + "\n"
-                 for row in islice(rows, _CHUNK_ROWS)]
-        text = head + "".join(chunk)
+        # + 0.0 folds -0.0, as in _fmt
+        values = tuple(map(add, chain.from_iterable(islice(rows, _CHUNK_ROWS)), repeat(0.0)))
+        count = len(values) // 3
+        text = head + (_CHUNK if count == _CHUNK_ROWS else _ROW * count) % values
         if text:
             sys.stdout.write(text)  # looked up per call: callers may swap sys.stdout
-        if len(chunk) < _CHUNK_ROWS:
+        if count < _CHUNK_ROWS:
             return
         head = ""
 
@@ -142,14 +150,26 @@ def parse_ptfn(text: str | bytes) -> PseudoTfn:
     return PseudoTfn(shape, kind)
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, decode: bool = True) -> str | bytes:
+    """The text of path, or of stdin for "-", checked to be UTF-8.
+
+    A file is read with universal newlines. decode=False leaves ASCII
+    bytes undecoded, for _blocks to decode a block at a time.
+    """
     try:
         if path == "-":
             # bytes, decoded strictly: the text layer may use surrogateescape
             stream = getattr(sys.stdin, "buffer", None)
-            return sys.stdin.read() if stream is None else stream.read().decode("utf-8")
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            if stream is None:
+                return sys.stdin.read()
+            data = stream.read()
+        elif decode:
+            with open(path, "r", encoding="utf-8") as handle:
+                return handle.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        return data.decode("utf-8") if decode or not data.isascii() else data
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -160,7 +180,22 @@ def _load_ptfn(path: str) -> PseudoTfn:
     return parse_ptfn(_read_text(path))
 
 
-def _curve_rows(text: str) -> Iterator[tuple[float, float, float]]:
+def _blocks(data: str | bytes) -> Iterator[str]:
+    """The text of data in blocks of about _BLOCK_BYTES, each ending just after a newline.
+
+    Neither a UTF-8 sequence nor a "\\r\\n" pair straddles a block's end,
+    so the blocks' splitlines() are the lines of the whole text.
+    """
+    newline = "\n" if isinstance(data, str) else b"\n"
+    start = 0
+    while start < len(data):
+        end = data.find(newline, start + _BLOCK_BYTES) + 1 or len(data)
+        block = data[start:end]
+        yield block if isinstance(block, str) else block.decode("utf-8")
+        start = end
+
+
+def _curve_rows(data: str | bytes) -> Iterator[tuple[float, float, float]]:
     """Yield the (x, mu, lam) rows of a curve CSV, checking each as it is read.
 
     Blank lines and lines starting with # are skipped, and line numbers
@@ -168,7 +203,8 @@ def _curve_rows(text: str) -> Iterator[tuple[float, float, float]]:
     three numbers forming a valid element whose x comes after the
     previous row's. The first defect raises DocumentError.
     """
-    lines = (line for line in text.splitlines() if line and not line.startswith("#"))
+    lines = chain.from_iterable(map(str.splitlines, _blocks(data)))
+    lines = (line for line in lines if line and not line.startswith("#"))
     if next(lines, None) != _CURVE_HEADER:
         raise DocumentError(f"curve CSV must start with header '{_CURVE_HEADER}'")
     inf = math.inf
@@ -222,7 +258,7 @@ def cmd_cut(args: argparse.Namespace) -> int:
         interval = alpha_cut_mu(p, args.level)
     else:
         interval = beta_cut_lambda(p, args.level)
-    _write_rows("", [(interval.lo, interval.hi)])
+    sys.stdout.write(f"{_fmt(interval.lo)},{_fmt(interval.hi)}\n")
     return EXIT_OK
 
 
@@ -233,10 +269,8 @@ def cmd_arith(args: argparse.Namespace) -> int:
     q = _load_ptfn(args.ptfn2)
     if args.op in ("add", "sub"):
         rows = arith._cut_rows(getattr(arith, args.op)(p, q), args.levels)
-    elif args.op == "mul":
-        rows = arith._mul_rows(p, q, args.levels)
     else:
-        rows = arith._div_rows(p, q, args.levels)
+        rows = arith._product_rows(args.op, p, q, args.levels)
     # each operation has checked that p and q share the kind of the result
     _write_rows(f"# kind={p.kind.value}\nalpha,lo,hi\n", arith._nested_rows(rows))
     return EXIT_OK
@@ -246,7 +280,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.table:
         if args.kind is None:
             raise DocumentError("--table requires --kind")
-        rows = _curve_rows(_read_text(args.input))
+        rows = _curve_rows(_read_text(args.input, decode=False))
         violation = _first_violation(rows, Kind(args.kind), args.eps)
         for _ in rows:  # the rest of the table is checked as well
             pass

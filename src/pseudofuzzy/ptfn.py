@@ -28,7 +28,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -36,6 +35,7 @@ from .core import (
     DiscretePseudoFuzzySet,
     MembershipPair,
     PseudoFuzzyElement,
+    _require_after,
     _require_eps,
     _require_finite,
 )
@@ -243,12 +243,15 @@ def _default_window(p: PseudoTfn) -> tuple[float, float]:
     return p.a - width, p.c + width
 
 
-def _sample(p: PseudoTfn, n: int, xmin: float, xmax: float, count: str = "n") -> Iterator:
+def _sample(
+    p: PseudoTfn, n: int, xmin: float, xmax: float, count: str = "n", ordered: bool = True
+) -> Iterator:
     """Check now; later yield (x, mu, lam) at n even steps over [xmin, xmax].
 
     Each row is within the bounds that _require_finite and MembershipPair
-    enforce on x and on (mu, lam); a row that is not goes through them,
-    and they raise the error.
+    enforce on x and on (mu, lam), and if ordered its x comes after the
+    previous row's; a row that is not goes through them or through
+    _require_after, and they raise the error.
     """
     if n != int(n) or n < 2:
         raise BadCount(f"need {count} >= 2 sample points, got {n!r}")
@@ -257,19 +260,23 @@ def _sample(p: PseudoTfn, n: int, xmin: float, xmax: float, count: str = "n") ->
     xmax = _require_finite("xmax", xmax)
     if not xmin < xmax:
         raise BadRange(f"need xmin < xmax, got [{xmin!r}, {xmax!r}]")
-    return _sample_rows(p, n, xmin, xmax)
+    return _sample_rows(p, n, xmin, xmax, ordered)
 
 
-def _sample_rows(p: PseudoTfn, n: int, xmin: float, xmax: float) -> Iterator:
+def _sample_rows(p: PseudoTfn, n: int, xmin: float, xmax: float, ordered: bool) -> Iterator:
     a, b, c, kind, inf = p.a, p.b, p.c, p.kind, math.inf
-    span = xmax - xmin
-    for x in chain((xmin + (i * span) / (n - 1) for i in range(n - 1)), (xmax,)):
+    span, last, prev = xmax - xmin, n - 1, -inf
+    for i in range(n):
+        x = xmin + (i * span) / last if i < last else xmax
         mu = _mu(a, b, c, x)
         lam = _lam(kind, mu)
         if not (-inf < x < inf and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0):
             _require_finite("x", x)
             MembershipPair(mu, lam)
+        if ordered and not x > prev:
+            _require_after(i, prev, x)
         yield x, mu, lam
+        prev = x
 
 
 def discretize(p: PseudoTfn, n: int, xmin: float, xmax: float) -> DiscretePseudoFuzzySet:
@@ -296,7 +303,8 @@ def kind_violation(p: PseudoTfn, grid: int, eps: float = DEFAULT_EPS) -> Optiona
 
     Samples grid points over the default window, one at a time.
     """
-    rows = _sample(p, grid, *_default_window(p), "grid")
+    # a grid is not a set: rounding may repeat an x
+    rows = _sample(p, grid, *_default_window(p), "grid", ordered=False)
     return _first_violation(rows, p.kind, _require_eps(eps))
 
 

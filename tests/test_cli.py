@@ -290,6 +290,31 @@ def test_verify_reports_first_grid_violation():
     assert result.stdout == b"violation at x=1\n"
 
 
+# a number near 1e16, where the float grid is 2 apart: its default
+# window of 101 points repeats x values
+NEAR_1E16 = '{"a":1e16,"b":1.0000000000000002e16,"c":1.0000000000000004e16,"kind":"dependent"}'
+
+
+@pytest.mark.parametrize("argv,stdin,message", [
+    (["curve", DEP, "--xmin", "1", "--xmax", "1.0000000000000004", "--n", "6"], None,
+     b"error: duplicate support point x=1.0 at index 1\n"),
+    (["curve", "-"], NEAR_1E16,
+     b"error: duplicate support point x=9999999999999996.0 at index 1\n"),
+], ids=["narrow_window", "near_1e16"])
+def test_curve_rejects_repeated_x(argv, stdin, message):
+    result = run_cli(argv, stdin)
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr == message
+
+
+def test_verify_grid_may_repeat_x():
+    # the same grid, sampled for the kind check only, is not a set
+    result = run_cli(["verify", "-", "--grid", "101"], NEAR_1E16)
+    assert result.returncode == 0
+    assert result.stdout == b"ok\n"
+
+
 class TestColdFeverSample:
     """The shipped body-temperature walkthrough: mu is the hotness of the
     fever, lam the coldness felt, rising and falling together (dependent

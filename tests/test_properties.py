@@ -16,6 +16,7 @@ from pseudofuzzy import (
     beta_cut_lambda,
     classify_case,
     cut_table,
+    div,
     extension_oracle,
     is_dependent_pair,
     lambda_at,
@@ -218,6 +219,62 @@ def test_result_pairs_follow_kind_identity(shape1, shape2, kind, x):
         assert abs(pair.lam - (pair.mu - 1.0)) <= 1e-12
     else:
         assert abs(pair.lam + pair.mu) <= 1e-12
+
+
+def scanned_lambda_of_result(table, x):
+    """lambda_of_result as a linear scan up the levels: the oracle for its bisection."""
+    rows = table.rows
+    if not rows[0][1].contains(x):
+        mu = 0.0
+    elif rows[-1][1].contains(x):
+        mu = 1.0
+    else:
+        k = 0
+        while rows[k + 1][1].contains(x):
+            k += 1
+        alpha_lo, wide = rows[k]
+        alpha_hi, narrow = rows[k + 1]
+        if x < narrow.lo:
+            gap = narrow.lo - wide.lo
+            t = (x - wide.lo) / gap if gap > 0.0 else 1.0
+        else:
+            gap = wide.hi - narrow.hi
+            t = (wide.hi - x) / gap if gap > 0.0 else 1.0
+        mu = min(max(alpha_lo + t * (alpha_hi - alpha_lo), 0.0), 1.0)
+    return MembershipPair(mu, mu - 1.0 if table.kind is Kind.DEPENDENT else 0.0 - mu)
+
+
+# feet of one sign, clear of zero
+divisors = st.builds(
+    lambda a, left, right, sign: TriangleShape(
+        *sorted(sign * v for v in (a, a + left, a + left + right))),
+    st.floats(min_value=0.5, max_value=10.0),
+    st.floats(min_value=1e-3, max_value=5.0),
+    st.floats(min_value=1e-3, max_value=5.0),
+    st.sampled_from((1.0, -1.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape_strategy(), shape_strategy(), divisors, kinds, st.sampled_from(("cut", "mul", "div")),
+       st.integers(min_value=2, max_value=300), st.data())
+def test_lambda_of_result_bisection_matches_the_scan(shape1, shape2, divisor, kind, op, levels,
+                                                      data):
+    p = PseudoTfn(shape1, kind)
+    if op == "cut":
+        table = cut_table(p, levels)
+    elif op == "mul":
+        table = mul(p, PseudoTfn(shape2, kind), levels)
+    else:
+        table = div(p, PseudoTfn(divisor, kind), levels)
+    support = table.support
+    # edges of every level, where containment flips, and points between them
+    edges = [end for _, iv in table.rows for end in (iv.lo, iv.hi)]
+    x = data.draw(st.one_of(
+        st.sampled_from(edges),
+        st.floats(min_value=support.lo - 1.0, max_value=support.hi + 1.0),
+    ))
+    assert lambda_of_result(table, x) == scanned_lambda_of_result(table, x)
 
 
 @given(ptfns, sample_xs)

@@ -3,10 +3,14 @@ flat in the row count, and verify --table checks a table line by line."""
 
 import contextlib
 import io
+import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudofuzzy import PseudoTfn, add, cut_table, discretize, div, mul, sub
 from pseudofuzzy import cli
@@ -142,6 +146,69 @@ def test_verify_table_memory_is_bounded_by_the_file(tmp_path):
     assert traced_peak(["verify", str(table), "--table", "--kind", "dependent"]) < 6 * size
 
 
+def test_verify_table_holds_the_file_once(tmp_path):
+    # the bytes of the file, and one block of its lines at a time
+    table = tmp_path / "curve.csv"
+    with open(table, "w") as handle:
+        run_main(["curve", doc(tmp_path, DEP, "p"), "--n", "50001"], stdout=handle)
+    size = table.stat().st_size
+    assert traced_peak(["verify", str(table), "--table", "--kind", "dependent"]) <= 2 * size
+
+
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.text(alphabet="0,1.é-#x", max_size=6), st.sampled_from(LINE_BREAKS))),
+       st.booleans(), st.integers(min_value=1, max_value=8))
+def test_blocks_split_into_the_lines_of_the_whole_text(pieces, encoded, block):
+    text = "".join(line + end for line, end in pieces)
+    data = text.encode() if encoded else text
+    with mock.patch.object(cli, "_BLOCK_BYTES", block):
+        blocks = list(cli._blocks(data))
+    assert "".join(blocks) == text
+    assert [line for b in blocks for line in b.splitlines()] == text.splitlines()
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["eval", "{p}", "-0.0"], "0,0,-1\n"),  # x and mu are -0.0
+    (["curve", "{p}", "--xmin", "-1", "--xmax", "-0.0", "--n", "3"],
+     "x,mu,lambda\n-1,0,-1\n-0.5,0,-1\n0,0,-1\n"),  # the last row's x and mu
+    (["arith", "mul", "{p}", "{q}", "--levels", "2"],
+     "# kind=dependent\nalpha,lo,hi\n0,-6,0\n1,-2,-2\n"),  # level 0's hi
+], ids=["eval", "curve", "mul"])
+def test_negative_zero_is_written_as_zero(tmp_path, argv, out):
+    files = {"p": doc(tmp_path, PseudoTfn.dependent(0.0, 1.0, 2.0), "p"),
+             "q": doc(tmp_path, PseudoTfn.dependent(-3.0, -2.0, -1.0), "q")}
+    assert run_main([arg.format(**files) for arg in argv]) == (0, out, "")
+
+
+# where %.12g changes notation, or rounds up into the next power of ten
+EDGES = [edge * sign for sign in (1.0, -1.0) for base in (1e-5, 1e-4, 1e12, 1e16, 1.0)
+         for edge in (math.nextafter(base, 0.0), base, math.nextafter(base, math.inf))]
+EDGES += [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+          999999999999.5, 9.999999999995e-5, 0.1 + 0.2]
+values = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(values, values, values), min_size=1, max_size=20),
+       st.sampled_from([1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1]),
+       st.sampled_from(["", "head\n"]))
+def test_write_rows_formats_each_value_as_fmt(rows, count, head):
+    rows = (rows * (count // len(rows) + 1))[:count]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_rows(head, rows)
+    text = out.getvalue()
+    assert text.startswith(head)
+    lines = text[len(head):].split("\n")
+    want = [",".join(map(cli._fmt, row)) for row in rows] + [""]
+    assert len(lines) == len(want)
+    # the differing lines only: a diff of the whole text is slow to shrink on
+    assert [(got, exp) for got, exp in zip(lines, want) if got != exp] == []
+
+
 # (table, exit code, stdout on success or stderr on failure) of
 # verify --table --kind dependent
 TABLE_CASES = [
@@ -178,6 +245,24 @@ TABLE_CASES = [
 @pytest.mark.parametrize("table,code,message", TABLE_CASES)
 def test_verify_table_reports(table, code, message):
     got, out, err = run_main(["verify", "-", "--table", "--kind", "dependent"], table)
+    assert got == code
+    assert (out, err) == (("", message) if code else (message, ""))
+
+
+# a file is read as bytes and decoded a block at a time
+FILE_CASES = [(table.encode(), code, message) for table, code, message in TABLE_CASES] + [
+    ("x,mu,lambda\n# é\n0,0,-1\n".encode(), 0, "ok\n"),
+    (b"x,mu,lambda\n" + b"0,0,-1\n" * 20000 + b"\xff", 2,
+     "error: input is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 140012: "
+     "invalid start byte\n"),
+]
+
+
+@pytest.mark.parametrize("table,code,message", FILE_CASES)
+def test_verify_table_file_reports(tmp_path, table, code, message):
+    path = tmp_path / "table.csv"
+    path.write_bytes(table)
+    got, out, err = run_main(["verify", str(path), "--table", "--kind", "dependent"])
     assert got == code
     assert (out, err) == (("", message) if code else (message, ""))
 
