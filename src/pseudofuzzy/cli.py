@@ -24,8 +24,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import arith
 from .core import (
     DEFAULT_EPS,
-    _as_element,
-    _require_after,
+    _bad_row,
     _require_eps,
     classify_case,
     validate_pair,
@@ -150,26 +149,23 @@ def parse_ptfn(text: str | bytes) -> PseudoTfn:
     return PseudoTfn(shape, kind)
 
 
-def _read_text(path: str, decode: bool = True) -> str | bytes:
-    """The text of path, or of stdin for "-", checked to be UTF-8.
+def _read_text(path: str) -> str | bytes:
+    """The bytes of path, or of stdin for "-": as read if ASCII, else decoded as UTF-8.
 
-    A file is read with universal newlines. decode=False leaves ASCII
-    bytes undecoded, for _blocks to decode a block at a time.
+    Newlines are left as they are. ASCII bytes stay undecoded, for
+    parse_ptfn or _blocks to decode.
     """
     try:
         if path == "-":
             # bytes, decoded strictly: the text layer may use surrogateescape
             stream = getattr(sys.stdin, "buffer", None)
-            if stream is None:
+            if stream is None:  # a text stream swapped in by an in-process caller
                 return sys.stdin.read()
             data = stream.read()
-        elif decode:
-            with open(path, "r", encoding="utf-8") as handle:
-                return handle.read()
         else:
             with open(path, "rb") as handle:
                 data = handle.read()
-        return data.decode("utf-8") if decode or not data.isascii() else data
+        return data if data.isascii() else data.decode("utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -199,16 +195,15 @@ def _curve_rows(data: str | bytes) -> Iterator[tuple[float, float, float]]:
     """Yield the (x, mu, lam) rows of a curve CSV, checking each as it is read.
 
     Blank lines and lines starting with # are skipped, and line numbers
-    count the lines kept, the header being line 1. Each row must hold
-    three numbers forming a valid element whose x comes after the
-    previous row's. The first defect raises DocumentError.
+    count the lines kept, the header being line 1. Each row must hold three
+    numbers and pass core's one row check, made inline; core._bad_row
+    explains a row that fails it. The first defect raises DocumentError.
     """
     lines = chain.from_iterable(map(str.splitlines, _blocks(data)))
     lines = (line for line in lines if line and not line.startswith("#"))
     if next(lines, None) != _CURVE_HEADER:
         raise DocumentError(f"curve CSV must start with header '{_CURVE_HEADER}'")
-    inf = math.inf
-    prev = None
+    inf, prev = math.inf, -math.inf
     for i, line in enumerate(lines):
         parts = line.split(",")
         if len(parts) != 3:
@@ -217,16 +212,14 @@ def _curve_rows(data: str | bytes) -> Iterator[tuple[float, float, float]]:
             x, mu, lam = map(float, parts)
         except ValueError:
             raise DocumentError(f"line {i + 2}: non-numeric value") from None
-        try:
-            if not (-inf < x < inf and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0):
-                _as_element((x, mu, lam), i)
-            if i and not x > prev:
-                _require_after(i, prev, x)
-        except PseudoFuzzyError as exc:
-            raise DocumentError(f"invalid curve rows: {exc}") from None
+        if not (-inf < x < inf and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0 and x > prev):
+            try:
+                _bad_row(i, prev, x, mu, lam)
+            except PseudoFuzzyError as exc:
+                raise DocumentError(f"invalid curve rows: {exc}") from None
         yield x, mu, lam
         prev = x
-    if prev is None:
+    if prev == -inf:
         raise DocumentError("curve CSV has no data rows")
 
 
@@ -280,7 +273,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.table:
         if args.kind is None:
             raise DocumentError("--table requires --kind")
-        rows = _curve_rows(_read_text(args.input, decode=False))
+        rows = _curve_rows(_read_text(args.input))
         violation = _first_violation(rows, Kind(args.kind), args.eps)
         for _ in rows:  # the rest of the table is checked as well
             pass

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NoReturn, Union
 
 from .errors import (
     BadTolerance,
@@ -86,14 +86,6 @@ class PseudoFuzzyElement:
             raise TypeError(f"pair must be a MembershipPair, got {type(self.pair).__name__}")
 
 
-def _require_after(index: int, prev: float, cur: float) -> None:
-    """Support point cur, at index, must come strictly after prev."""
-    if cur == prev:
-        raise DuplicateSupportPoint(f"duplicate support point x={cur!r} at index {index}")
-    if cur < prev:
-        raise UnsortedSupport(f"support not increasing at index {index}: {cur!r} < {prev!r}")
-
-
 @dataclass(frozen=True)
 class DiscretePseudoFuzzySet:
     """Finite pseudo fuzzy set: elements ordered by strictly increasing x."""
@@ -103,8 +95,11 @@ class DiscretePseudoFuzzySet:
     def __post_init__(self) -> None:
         elements = tuple(self.elements)
         object.__setattr__(self, "elements", elements)
-        for i in range(1, len(elements)):
-            _require_after(i, elements[i - 1].x, elements[i].x)
+        prev = -math.inf
+        for i, e in enumerate(elements):
+            if not e.x > prev:  # an element's x and pair are already checked
+                _bad_row(i, prev, e.x, e.pair.mu, e.pair.lam)
+            prev = e.x
 
     def __iter__(self) -> Iterator[PseudoFuzzyElement]:
         return iter(self.elements)
@@ -177,6 +172,19 @@ def _as_element(item: ElementLike, index: int) -> PseudoFuzzyElement:
     except (MuOutOfRange, LambdaOutOfRange, NonFinite) as exc:
         raise type(exc)(f"element {index}: {exc}") from None
     return PseudoFuzzyElement(float(x), pair)
+
+
+def _bad_row(index: int, prev: float, x: float, mu: float, lam: float) -> NoReturn:
+    """Raise the error of row index, (x, mu, lam), which follows a row at prev.
+
+    Callers check each row inline and call this only on a row that fails
+    -inf < x < inf and 0 <= mu <= 1 and -1 <= lam <= 0 and x > prev;
+    prev is -inf for the first row, or for rows in no order.
+    """
+    _as_element((x, mu, lam), index)
+    if x == prev:
+        raise DuplicateSupportPoint(f"duplicate support point x={x!r} at index {index}")
+    raise UnsortedSupport(f"support not increasing at index {index}: {x!r} < {prev!r}")
 
 
 def validate_set(elements: Iterable[ElementLike]) -> DiscretePseudoFuzzySet:

@@ -35,7 +35,7 @@ from .core import (
     DiscretePseudoFuzzySet,
     MembershipPair,
     PseudoFuzzyElement,
-    _require_after,
+    _bad_row,
     _require_eps,
     _require_finite,
 )
@@ -103,9 +103,6 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "Interval", slack: float = 0.0) -> bool:
-        return other.lo >= self.lo - slack and other.hi <= self.hi + slack
 
 
 @dataclass(frozen=True)
@@ -248,10 +245,9 @@ def _sample(
 ) -> Iterator:
     """Check now; later yield (x, mu, lam) at n even steps over [xmin, xmax].
 
-    Each row is within the bounds that _require_finite and MembershipPair
-    enforce on x and on (mu, lam), and if ordered its x comes after the
-    previous row's; a row that is not goes through them or through
-    _require_after, and they raise the error.
+    Each row passes core's one row check, made inline (x after the
+    previous row's x only if ordered); core._bad_row explains a row that
+    fails it.
     """
     if n != int(n) or n < 2:
         raise BadCount(f"need {count} >= 2 sample points, got {n!r}")
@@ -260,6 +256,8 @@ def _sample(
     xmax = _require_finite("xmax", xmax)
     if not xmin < xmax:
         raise BadRange(f"need xmin < xmax, got [{xmin!r}, {xmax!r}]")
+    if xmax - xmin == math.inf:
+        raise BadRange(f"window width xmax - xmin overflows, got [{xmin!r}, {xmax!r}]")
     return _sample_rows(p, n, xmin, xmax, ordered)
 
 
@@ -270,13 +268,11 @@ def _sample_rows(p: PseudoTfn, n: int, xmin: float, xmax: float, ordered: bool) 
         x = xmin + (i * span) / last if i < last else xmax
         mu = _mu(a, b, c, x)
         lam = _lam(kind, mu)
-        if not (-inf < x < inf and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0):
-            _require_finite("x", x)
-            MembershipPair(mu, lam)
-        if ordered and not x > prev:
-            _require_after(i, prev, x)
+        if not (-inf < x < inf and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0 and x > prev):
+            _bad_row(i, prev, x, mu, lam)
         yield x, mu, lam
-        prev = x
+        if ordered:
+            prev = x
 
 
 def discretize(p: PseudoTfn, n: int, xmin: float, xmax: float) -> DiscretePseudoFuzzySet:

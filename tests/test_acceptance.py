@@ -9,12 +9,11 @@ lines. Every tolerance is pinned here, not configurable.
 
 import math
 import random
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
+from conftest import run_cli
 
 from pseudofuzzy import (
     DEFAULT_EPS,
@@ -291,17 +290,9 @@ def test_criterion_5_oracle_equivalence():
     _report(5, "closed forms match the extension-principle oracle", failures)
 
 
-def _run_cli(argv, stdin=None):
-    return subprocess.run(
-        [sys.executable, "-m", "pseudofuzzy", *argv],
-        input=stdin.encode() if stdin is not None else None,
-        capture_output=True,
-    )
-
-
 def _curve_rows(kind):
     doc = '{"a":1,"b":2,"c":3,"kind":"%s"}' % kind
-    result = _run_cli(["curve", "-", "--n", "401", "--xmin", "0", "--xmax", "4"], doc)
+    result = run_cli(["curve", "-", "--n", "401", "--xmin", "0", "--xmax", "4"], doc)
     assert result.returncode == 0
     lines = result.stdout.decode().splitlines()
     assert lines[0] == "x,mu,lambda"
@@ -353,7 +344,7 @@ def test_criterion_7_cli_contract():
         (["verify", dep, "--grid", "101"], None, b"ok\n"),
     ]
     for argv, stdin, expected in expectations:
-        result = _run_cli(argv, stdin)
+        result = run_cli(argv, stdin)
         if result.returncode != 0 or result.stdout != expected:
             failures.append((argv, result.returncode, result.stdout))
 
@@ -364,12 +355,12 @@ def test_criterion_7_cli_contract():
         (["arith", "div", dep2, straddle], None, 5),
     ]
     for argv, stdin, code in error_expectations:
-        result = _run_cli(argv, stdin)
+        result = run_cli(argv, stdin)
         if result.returncode != code or result.stdout != b"":
             failures.append((argv, result.returncode, code))
 
     rerun_argv = ["curve", dep2, "--n", "33"]
-    if _run_cli(rerun_argv).stdout != _run_cli(rerun_argv).stdout:
+    if run_cli(rerun_argv).stdout != run_cli(rerun_argv).stdout:
         failures.append("reruns not byte-identical")
 
     _report(7, "CLI golden outputs and exit codes", failures)

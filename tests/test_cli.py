@@ -8,6 +8,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from conftest import run_cli
 
 from pseudofuzzy import CaseLabel, classify_case, discretize, validate_pair
 from pseudofuzzy.cli import parse_ptfn
@@ -89,15 +90,6 @@ EXPONENT_CASES = [
         b"x,mu,lambda\n-1e+308,0,-1\n-5e+307,0,-1\n1,1,0\n",
     ),
 ]
-
-
-def run_cli(argv, stdin=None, **kwargs):
-    return subprocess.run(
-        [sys.executable, "-m", "pseudofuzzy", *argv],
-        input=stdin.encode() if isinstance(stdin, str) else stdin,
-        capture_output=True,
-        **kwargs,
-    )
 
 
 @pytest.mark.parametrize("name,argv,stdin", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
@@ -313,6 +305,43 @@ def test_verify_grid_may_repeat_x():
     result = run_cli(["verify", "-", "--grid", "101"], NEAR_1E16)
     assert result.returncode == 0
     assert result.stdout == b"ok\n"
+
+
+# its default window, +-9e307, is finite, but not its width
+WIDE = '{"a":-3e307,"b":0,"c":3e307,"kind":"dependent"}'
+WIDE_RANGE = b"window width xmax - xmin overflows, got [-8.999999999999999e+307, 8.999999999999999e+307]"
+
+
+@pytest.mark.parametrize("argv,stdin,message", [
+    (["curve", DEP, "--xmin", "-1e308", "--xmax", "1e308"], None,
+     b"window width xmax - xmin overflows, got [-1e+308, 1e+308]"),
+    (["curve", "-"], WIDE, WIDE_RANGE),
+    (["verify", "-"], WIDE, WIDE_RANGE),
+], ids=["curve_window", "curve_default_window", "verify"])
+def test_overflowing_window_width_is_a_bad_range(argv, stdin, message):
+    result = run_cli(argv, stdin)
+    assert (result.returncode, result.stdout, result.stderr) == (3, b"", b"error: " + message + b"\n")
+
+
+def test_sampled_row_error_names_the_element():
+    # mu = (x - a) / (b - a) is inf / inf at the first row
+    doc = '{"a":-1e308,"b":1e308,"c":1e308,"kind":"dependent"}'
+    result = run_cli(["curve", "-", "--xmin", "9.5e307", "--xmax", "9.9e307"], doc)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        3, b"", b"error: element 0: mu must be finite, got nan\n")
+
+
+@pytest.mark.parametrize("newline,position", [
+    ("\r\n", b"line 4 column 10 (char 34)"),
+    ("\r", b"line 1 column 32 (char 31)"),
+], ids=["crlf", "cr"])
+def test_malformed_json_reports_one_position_from_file_and_stdin(tmp_path, newline, position):
+    doc = newline.join(["{", '  "a": 0,', '  "b": 1,', '  "c": 2 x', "}", ""]).encode()
+    path = tmp_path / "doc.json"
+    path.write_bytes(doc)
+    message = b"error: malformed JSON: Expecting ',' delimiter: " + position + b"\n"
+    for result in (run_cli(["eval", str(path), "1"]), run_cli(["eval", "-", "1"], doc)):
+        assert (result.returncode, result.stdout, result.stderr) == (2, b"", message)
 
 
 class TestColdFeverSample:

@@ -138,6 +138,17 @@ class TestValidateSet:
         with pytest.raises(DuplicateSupportPoint):
             validate_set([(1, 0.2, -0.2), (1, 0.8, -0.8)])
 
+    @pytest.mark.parametrize("elements,error,message", [
+        ([(1, 0.2, -0.2), (1, 0.8, -0.8)], DuplicateSupportPoint,
+         "duplicate support point x=1.0 at index 1"),
+        ([(0, 0.2, -0.2), (2, 0.2, -0.2), (1, 0.8, -0.8)], UnsortedSupport,
+         "support not increasing at index 2: 1.0 < 2.0"),
+    ], ids=["duplicate", "unsorted"])
+    def test_ordering_error_messages(self, elements, error, message):
+        with pytest.raises(error) as raised:
+            validate_set(elements)
+        assert str(raised.value) == message
+
     def test_pair_error_reports_index(self):
         with pytest.raises(MuOutOfRange, match="element 1"):
             validate_set([(1, 0.2, -0.2), (2, 1.8, -0.8)])

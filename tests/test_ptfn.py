@@ -9,6 +9,7 @@ from pseudofuzzy import (
     BetaOutOfRange,
     CaseLabel,
     DiscretePseudoFuzzySet,
+    DuplicateSupportPoint,
     Interval,
     InvalidInterval,
     InvalidShape,
@@ -235,6 +236,15 @@ class TestDiscretize:
         with pytest.raises(BadRange):
             discretize(DEP, 5, 2, 2)
 
+    def test_overflowing_width_is_a_bad_range(self):
+        # xmax - xmin is inf, which would make the first x 0 * inf = nan
+        with pytest.raises(BadRange, match=r"width xmax - xmin overflows, got \[-1e\+308, 1e\+308\]"):
+            discretize(DEP, 3, -1e308, 1e308)
+
+    def test_repeated_x_is_rejected(self):
+        with pytest.raises(DuplicateSupportPoint, match="x=1.0 at index 1"):
+            discretize(DEP, 6, 1.0, 1.0000000000000004)
+
 
 class TestVerifyKind:
     def test_dependent_ok(self):
@@ -261,6 +271,15 @@ class TestVerifyKind:
 
     def test_kind_violation_none_for_consistent_number(self):
         assert kind_violation(IND, 33) is None
+
+    def test_kind_violation_grid_may_repeat_x(self):
+        # the float grid near 1e16 is 2 apart, so the 101-point grid repeats x
+        assert kind_violation(PseudoTfn.dependent(1e16, 1e16 + 2, 1e16 + 4), 101) is None
+
+    def test_kind_violation_rejects_an_overflowing_window(self):
+        # the default window is about +-9e307, whose width overflows
+        with pytest.raises(BadRange, match="width xmax - xmin overflows"):
+            kind_violation(PseudoTfn.dependent(-3e307, 0.0, 3e307), 101)
 
     def test_grid_too_small(self):
         with pytest.raises(BadCount):

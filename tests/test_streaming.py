@@ -12,7 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudofuzzy import PseudoTfn, add, cut_table, discretize, div, mul, sub
+from pseudofuzzy import (
+    Kind,
+    PseudoFuzzyError,
+    PseudoTfn,
+    add,
+    cut_table,
+    discretize,
+    div,
+    mul,
+    set_kind_violation,
+    sub,
+    validate_set,
+)
 from pseudofuzzy import cli
 
 CHUNK = cli._CHUNK_ROWS
@@ -45,10 +57,13 @@ def doc(tmp_path, p, name):
 
 
 def run_main(argv, stdin="", stdout=None):
-    """Exit code, stdout and stderr of cli.main run in this process."""
+    """Exit code, stdout and stderr of cli.main run in this process.
+
+    stdin given as bytes comes with a buffer, as a real stdin does.
+    """
     out, err = stdout or io.StringIO(), io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin)) if isinstance(stdin, bytes) else io.StringIO(stdin)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -274,3 +289,43 @@ def test_verify_table_file_reports(tmp_path, table, code, message):
 def test_verify_table_checks_eps_after_the_table(table, code):
     got, out, _ = run_main(["verify", "-", "--table", "--kind", "dependent", "--eps", "0"], table)
     assert (got, out) == (code, "")
+
+
+# values that break a row, per column: non-finite, or out of range
+NON_FINITE = [math.nan, math.inf, -math.inf]
+BAD_VALUES = [NON_FINITE, NON_FINITE + [-5e-324, -0.5, 1.0000000000000002, 1.5],
+              NON_FINITE + [5e-324, 0.5, -1.0000000000000002, -1.5]]
+
+
+@st.composite
+def curve_tables(draw):
+    """Rows of a curve table with at most one defect, and its kind."""
+    xs = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8, unique=True)))
+    grades = st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 0.0))
+    rows = [[x, *draw(grades)] for x in xs]
+    i = draw(st.integers(0, len(rows) - 1))
+    defect = draw(st.sampled_from(["none", "value", "repeat", "lower"]))
+    if defect == "value":
+        column = draw(st.integers(0, 2))
+        rows[i][column] = draw(st.sampled_from(BAD_VALUES[column]))
+    elif defect == "repeat" and i:
+        rows[i][0] = rows[i - 1][0]
+    elif defect == "lower" and i:
+        rows[i][0] = draw(st.floats(-2e6, rows[i - 1][0], exclude_max=True))
+    return rows, draw(st.sampled_from(list(Kind)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(curve_tables(), st.booleans())
+def test_verify_table_explains_a_row_as_validate_set_does(table, as_bytes):
+    rows, kind = table
+    text = "x,mu,lambda\n" + "".join(f"{x!r},{mu!r},{lam!r}\n" for x, mu, lam in rows)
+    got = run_main(["verify", "-", "--table", "--kind", kind.value],
+                   text.encode() if as_bytes else text)
+    try:
+        dset = validate_set(rows)
+    except PseudoFuzzyError as exc:
+        assert got == (2, "", f"error: invalid curve rows: {exc}\n")
+    else:
+        x = set_kind_violation(dset, kind)
+        assert got == (0, "ok\n" if x is None else f"violation at x={fmt(x)}\n", "")
