@@ -3,7 +3,9 @@
 A pseudo triangular fuzzy number is described by a JSON document with
 exactly the fields a, b, c (numbers) and kind ("dependent" or
 "independent"). Commands read the document from a file path or from
-standard input when the path is "-".
+standard input when the path is "-", as bytes. Each command returns its
+output as a head and rows, and main writes both with _write_rows, the only
+code here that writes standard output.
 
 Exit codes: 0 success, 2 parse/format/I-O error, 3 domain error, 4 kind
 mismatch, 5 divisor straddles zero.
@@ -76,6 +78,8 @@ _ROW = "%.12g,%.12g,%.12g\n"
 _CHUNK = _ROW * _CHUNK_ROWS
 # bytes of a CSV table decoded and split at a time
 _BLOCK_BYTES = 1 << 16
+# what a command returns, for main to write: a head and three-value rows
+_Output = tuple[str, Iterable[Sequence[float]]]
 
 
 def _fmt(value: float) -> str:
@@ -97,8 +101,7 @@ def _write_rows(head: str, rows: Iterable[Sequence[float]]) -> None:
         values = tuple(map(add, chain.from_iterable(islice(rows, _CHUNK_ROWS)), repeat(0.0)))
         count = len(values) // 3
         text = head + (_CHUNK if count == _CHUNK_ROWS else _ROW * count) % values
-        if text:
-            sys.stdout.write(text)  # looked up per call: callers may swap sys.stdout
+        sys.stdout.write(text)  # looked up per call: callers may swap sys.stdout
         if count < _CHUNK_ROWS:
             return
         head = ""
@@ -121,8 +124,10 @@ def parse_ptfn(text: str | bytes) -> PseudoTfn:
         except UnicodeDecodeError as exc:
             raise DocumentError(f"input is not UTF-8: {exc}") from None
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_fields)
-    except json.JSONDecodeError as exc:
+        # an integer too large for a float is read as inf, as 1e400 is: float() of it raises
+        doc = json.loads(text, object_pairs_hook=_unique_fields,
+                         parse_int=lambda s: int(s) if math.isfinite(float(s)) else float(s))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
@@ -149,49 +154,47 @@ def parse_ptfn(text: str | bytes) -> PseudoTfn:
     return PseudoTfn(shape, kind)
 
 
-def _read_text(path: str) -> str | bytes:
-    """The bytes of path, or of stdin for "-": as read if ASCII, else decoded as UTF-8.
+def _read_bytes(path: str) -> bytes:
+    """The bytes of path, or of stdin for "-", checked to be UTF-8.
 
-    Newlines are left as they are. ASCII bytes stay undecoded, for
-    parse_ptfn or _blocks to decode.
+    Input that is not ASCII is decoded once in full, only to check it: a
+    decoding error names its place in the whole input, before any row's defect.
     """
     try:
         if path == "-":
             # bytes, decoded strictly: the text layer may use surrogateescape
-            stream = getattr(sys.stdin, "buffer", None)
-            if stream is None:  # a text stream swapped in by an in-process caller
-                return sys.stdin.read()
-            data = stream.read()
+            stream = getattr(sys.stdin, "buffer", None)  # none on a text stream swapped in
+            data = sys.stdin.read().encode() if stream is None else stream.read()
         else:
             with open(path, "rb") as handle:
                 data = handle.read()
-        return data if data.isascii() else data.decode("utf-8")
+        if not data.isascii():
+            data.decode("utf-8")
+        return data
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
+    except UnicodeError as exc:  # a lone surrogate in a swapped-in text stream fails to encode
         raise DocumentError(f"input is not UTF-8: {exc}") from None
 
 
 def _load_ptfn(path: str) -> PseudoTfn:
-    return parse_ptfn(_read_text(path))
+    return parse_ptfn(_read_bytes(path))
 
 
-def _blocks(data: str | bytes) -> Iterator[str]:
-    """The text of data in blocks of about _BLOCK_BYTES, each ending just after a newline.
+def _blocks(data: bytes) -> Iterator[str]:
+    """The text of UTF-8 data in blocks of about _BLOCK_BYTES, each ending just after a newline.
 
     Neither a UTF-8 sequence nor a "\\r\\n" pair straddles a block's end,
     so the blocks' splitlines() are the lines of the whole text.
     """
-    newline = "\n" if isinstance(data, str) else b"\n"
     start = 0
     while start < len(data):
-        end = data.find(newline, start + _BLOCK_BYTES) + 1 or len(data)
-        block = data[start:end]
-        yield block if isinstance(block, str) else block.decode("utf-8")
+        end = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+        yield data[start:end].decode("utf-8")
         start = end
 
 
-def _curve_rows(data: str | bytes) -> Iterator[tuple[float, float, float]]:
+def _curve_rows(data: bytes) -> Iterator[tuple[float, float, float]]:
     """Yield the (x, mu, lam) rows of a curve CSV, checking each as it is read.
 
     Blank lines and lines starting with # are skipped, and line numbers
@@ -223,39 +226,35 @@ def _curve_rows(data: str | bytes) -> Iterator[tuple[float, float, float]]:
         raise DocumentError("curve CSV has no data rows")
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> _Output:
     p = _load_ptfn(args.ptfn)
     pair = pair_at(p, args.x)
-    _write_rows("", [(args.x, pair.mu, pair.lam)])
-    return EXIT_OK
+    return "", [(args.x, pair.mu, pair.lam)]
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
+def cmd_curve(args: argparse.Namespace) -> _Output:
     p = _load_ptfn(args.ptfn)
     lo, hi = _default_window(p)
     xmin = lo if args.xmin is None else args.xmin
     xmax = hi if args.xmax is None else args.xmax
-    _write_rows(_CURVE_HEADER + "\n", _sample(p, args.n, xmin, xmax))
-    return EXIT_OK
+    return _CURVE_HEADER + "\n", _sample(p, args.n, xmin, xmax)
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> _Output:
     pair = validate_pair(args.mu, args.lam)
-    print(classify_case(pair, args.eps).name)
-    return EXIT_OK
+    return classify_case(pair, args.eps).name + "\n", ()
 
 
-def cmd_cut(args: argparse.Namespace) -> int:
+def cmd_cut(args: argparse.Namespace) -> _Output:
     p = _load_ptfn(args.ptfn)
     if args.which == "mu":
         interval = alpha_cut_mu(p, args.level)
     else:
         interval = beta_cut_lambda(p, args.level)
-    sys.stdout.write(f"{_fmt(interval.lo)},{_fmt(interval.hi)}\n")
-    return EXIT_OK
+    return f"{_fmt(interval.lo)},{_fmt(interval.hi)}\n", ()
 
 
-def cmd_arith(args: argparse.Namespace) -> int:
+def cmd_arith(args: argparse.Namespace) -> _Output:
     if args.ptfn1 == "-" and args.ptfn2 == "-":
         raise DocumentError("only one operand may come from stdin")
     p = _load_ptfn(args.ptfn1)
@@ -265,15 +264,14 @@ def cmd_arith(args: argparse.Namespace) -> int:
     else:
         rows = arith._product_rows(args.op, p, q, args.levels)
     # each operation has checked that p and q share the kind of the result
-    _write_rows(f"# kind={p.kind.value}\nalpha,lo,hi\n", arith._nested_rows(rows))
-    return EXIT_OK
+    return f"# kind={p.kind.value}\nalpha,lo,hi\n", arith._nested_rows(rows)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> _Output:
     if args.table:
         if args.kind is None:
             raise DocumentError("--table requires --kind")
-        rows = _curve_rows(_read_text(args.input))
+        rows = _curve_rows(_read_bytes(args.input))
         violation = _first_violation(rows, Kind(args.kind), args.eps)
         for _ in rows:  # the rest of the table is checked as well
             pass
@@ -281,11 +279,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         p = _load_ptfn(args.input)
         violation = kind_violation(p, args.grid, args.eps)
-    if violation is None:
-        print("ok")
-    else:
-        print(f"violation at x={_fmt(violation)}")
-    return EXIT_OK
+    return ("ok" if violation is None else f"violation at x={_fmt(violation)}") + "\n", ()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -374,21 +368,18 @@ def _discard_stdout() -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        _write_rows(*args.handler(args))
         sys.stdout.flush()
-        return code
+        return EXIT_OK
     except PseudoFuzzyError as exc:
-        return _report(f"error: {exc}", next(c for cls, c in _EXIT_CODES if isinstance(exc, cls)))
+        message = f"error: {exc}"
+        code = next(c for cls, c in _EXIT_CODES if isinstance(exc, cls))
     except OSError as exc:  # reads report DocumentError, so this is a write
         _discard_stdout()
-        return _report(f"error: cannot write output: {exc}", EXIT_PARSE)
-
-
-def _report(message: str, code: int) -> int:
-    """Print message on stderr and return code, which stands if stderr cannot be written."""
-    try:
-        print(message, file=sys.stderr)
-    except OSError:
+        message, code = f"error: cannot write output: {exc}", EXIT_PARSE
+    try:  # on one line, though a field name or a path may hold a newline
+        print(message.replace("\n", "\\n"), file=sys.stderr)
+    except OSError:  # the exit code stands if stderr cannot be written
         pass
     return code
 

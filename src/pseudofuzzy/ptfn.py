@@ -149,6 +149,8 @@ def _mu(a: float, b: float, c: float, x: float) -> float:
         return 0.0
     if x == b:
         return 1.0
+    if b - a == math.inf or c - b == math.inf:  # a side overflows: halve, which is exact
+        a, b, c, x = 0.5 * a, 0.5 * b, 0.5 * c, 0.5 * x
     if x < b:
         return (x - a) / (b - a)
     return (c - x) / (c - b)
@@ -183,6 +185,9 @@ def _cut(a: float, b: float, c: float, alpha: float) -> tuple[float, float]:
         return b, b
     lo = a + alpha * (b - a)
     hi = c - alpha * (c - b)
+    if not (lo < math.inf and hi > -math.inf):  # a side overflowed: halve, which is exact
+        lo, hi = _cut(0.5 * a, 0.5 * b, 0.5 * c, alpha)
+        return 2.0 * lo, 2.0 * hi
     # alpha within ulps of 1 can invert the endpoints by rounding
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
@@ -264,8 +269,11 @@ def _sample(
 def _sample_rows(p: PseudoTfn, n: int, xmin: float, xmax: float, ordered: bool) -> Iterator:
     a, b, c, kind, inf = p.a, p.b, p.c, p.kind, math.inf
     span, last, prev = xmax - xmin, n - 1, -inf
+    # 1.0 changes no bits; past the float range, a power of two keeps i * step finite
+    scale = 1.0 if span * last < inf else 2.0 ** last.bit_length()
+    step = span / scale
     for i in range(n):
-        x = xmin + (i * span) / last if i < last else xmax
+        x = xmin + (i * step) / last * scale if i < last else xmax
         mu = _mu(a, b, c, x)
         lam = _lam(kind, mu)
         if not (-inf < x < inf and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0 and x > prev):

@@ -1,6 +1,7 @@
 """CLI contract tests: golden stdout per subcommand, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -323,12 +324,27 @@ def test_overflowing_window_width_is_a_bad_range(argv, stdin, message):
     assert (result.returncode, result.stdout, result.stderr) == (3, b"", b"error: " + message + b"\n")
 
 
-def test_sampled_row_error_names_the_element():
-    # mu = (x - a) / (b - a) is inf / inf at the first row
-    doc = '{"a":-1e308,"b":1e308,"c":1e308,"kind":"dependent"}'
-    result = run_cli(["curve", "-", "--xmin", "9.5e307", "--xmax", "9.9e307"], doc)
-    assert (result.returncode, result.stdout, result.stderr) == (
-        3, b"", b"error: element 0: mu must be finite, got nan\n")
+@pytest.mark.parametrize("argv,stdout", [
+    (["eval", "-", "9.5e307"], b"9.5e+307,0.975,-0.025\n"),
+    (["cut", "-", "mu", "0.5"], b"0,1e+308\n"),
+    (["cut", "-", "mu", "0"], b"-1e+308,1e+308\n"),
+    (["curve", "-", "--xmin", "9.5e307", "--xmax", "9.9e307", "--n", "3"],
+     b"x,mu,lambda\n9.5e+307,0.975,-0.025\n9.7e+307,0.985,-0.015\n9.9e+307,0.995,-0.005\n"),
+], ids=["eval", "cut_half", "cut_zero", "curve"])
+def test_overflowing_side_gives_finite_results(argv, stdout):
+    # b - a overflows: mu and the cuts are taken from the halved triangle, not inf / inf
+    result = run_cli(argv, '{"a":-1e308,"b":1e308,"c":1e308,"kind":"dependent"}')
+    assert (result.returncode, result.stdout, result.stderr) == (0, stdout, b"")
+
+
+def test_window_whose_steps_overflow_samples_finite_rows():
+    # i * (xmax - xmin) overflows, though every sample lies in the window
+    result = run_cli(["curve", DEP, "--xmin", "-1e306", "--xmax", "1.7e308", "--n", "101"])
+    assert (result.returncode, result.stderr) == (0, b"")
+    rows = [[float(v) for v in line.split(b",")] for line in result.stdout.splitlines()[1:]]
+    xs = [x for x, _, _ in rows]
+    assert len(rows) == 101 and all(map(math.isfinite, sum(rows, [])))
+    assert xs == sorted(set(xs)) and xs[0] == -1e306 and xs[-1] == 1.7e308
 
 
 @pytest.mark.parametrize("newline,position", [

@@ -1,6 +1,8 @@
 """Randomized invariants, mostly via hypothesis."""
 
-from hypothesis import given, settings
+import math
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pseudofuzzy import (
@@ -30,6 +32,7 @@ from pseudofuzzy import (
     sub,
     validate_pair,
 )
+from pseudofuzzy.ptfn import _sample
 
 finite_mu = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 finite_lam = st.floats(min_value=-1.0, max_value=0.0, allow_nan=False)
@@ -313,3 +316,46 @@ def test_oracle_mul_convergence_on_unit_scale(shape1, shape2, kind):
     for (_, gi), (_, wi) in zip(got.rows, want.rows):
         assert abs(gi.lo - wi.lo) <= bound
         assert abs(gi.hi - wi.hi) <= bound
+
+
+# feet and points anywhere among the floats, so that a side b - a or c - b,
+# or a window's width times its sample count, may overflow
+wide = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.sampled_from([-1.7976931348623157e308, -1e308, 1e308, 1.7976931348623157e308]))
+wide_shapes = st.lists(wide, min_size=3, max_size=3).map(sorted).filter(lambda f: f[0] < f[2])
+
+
+def plain_mu(a, b, c, x):
+    if x < a or x > c:
+        return 0.0
+    if x == b:
+        return 1.0
+    return (x - a) / (b - a) if x < b else (c - x) / (c - b)
+
+
+def plain_cut(a, b, c, alpha):
+    if alpha == 1.0:
+        return b, b
+    lo, hi = a + alpha * (b - a), c - alpha * (c - b)
+    return (lo, hi) if lo <= hi else (0.5 * (lo + hi),) * 2
+
+
+@given(wide_shapes, kinds, wide, levels)
+def test_grades_and_cuts_of_finite_triangles_are_finite(feet, kind, x, alpha):
+    p = PseudoTfn(TriangleShape(*feet), kind)
+    pair = pair_at(p, x)  # MembershipPair checks that both grades are finite and in range
+    cut = alpha_cut_mu(p, alpha)  # Interval checks that lo <= hi are finite
+    a, b, c = feet
+    assert a <= cut.lo <= cut.hi <= c
+    if b - a < math.inf and c - b < math.inf:  # where no side overflows, the plain formulas
+        assert pair.mu == plain_mu(a, b, c, x)
+        assert (cut.lo, cut.hi) == plain_cut(a, b, c, alpha)
+
+
+@given(wide, wide, st.integers(2, 300))
+def test_samples_of_a_finite_window_are_finite(xmin, xmax, n):
+    assume(xmin < xmax and xmax - xmin < math.inf)
+    rows = _sample(PseudoTfn.dependent(0.0, 1.0, 2.0), n, xmin, xmax, ordered=False)
+    xs = [x for x, _, _ in rows]
+    assert xs[0] == xmin and xs[-1] == xmax and xs == sorted(xs)
+    assert all(map(math.isfinite, xs))
