@@ -26,10 +26,8 @@ import enum
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional
 
-from .core import DEFAULT_EPS, MembershipPair, _require_finite
+from .core import DEFAULT_EPS, MembershipPair, _Frozen, _require_finite, _set
 from .errors import (
     BadCount,
     DivisorStraddlesZero,
@@ -40,7 +38,10 @@ from .errors import (
 )
 from .ptfn import Interval, Kind, PseudoTfn, TriangleShape, _cut, _lam, mu_at
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Iterable, Iterator, NoReturn, Optional
+
     import numpy as np
 
 DEFAULT_LEVELS = 11
@@ -56,8 +57,7 @@ class BinaryOpCode(enum.Enum):
     DIV = "div"
 
 
-@dataclass(frozen=True)
-class CutTable:
+class CutTable(_Frozen):
     """Interval endpoints of a result, one row per membership level.
 
     Rows are (alpha, interval) pairs with alphas strictly increasing from
@@ -65,12 +65,19 @@ class CutTable:
     ones, within the package tolerance for rounding).
     """
 
+    __slots__ = ("rows", "kind")
     rows: tuple[tuple[float, Interval], ...]
     kind: Kind
 
+    def __init__(self, rows: Iterable[tuple[float, Interval]], kind: Kind) -> None:
+        _set(self, "rows", rows)
+        _set(self, "kind", kind)
+        self.__post_init__()  # through self, so a wrapper set on the class sees the call
+        _set(self, "_values", (self.rows, kind))
+
     def __post_init__(self) -> None:
         rows = tuple((float(alpha), interval) for alpha, interval in self.rows)
-        object.__setattr__(self, "rows", rows)
+        _set(self, "rows", rows)
         for _ in _nested_rows((alpha, interval.lo, interval.hi) for alpha, interval in rows):
             pass
 
@@ -120,6 +127,8 @@ def _require_same_kind(p: PseudoTfn, q: PseudoTfn) -> Kind:
 
 def _last_level(levels: int) -> int:
     """The index of the last of levels equally spaced alphas; level j is j / last."""
+    if levels > 2**53:  # past 2**53, neighbouring levels j / last may round to one float
+        raise BadCount(f"need levels <= 2**53, got {levels!r}")
     if levels != int(levels) or levels < 2:
         raise BadCount(f"need levels >= 2, got {levels!r}")
     return int(levels) - 1

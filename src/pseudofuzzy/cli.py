@@ -19,9 +19,9 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat
 from operator import add
-from typing import Iterable, Iterator, Optional, Sequence
 
 from . import arith
 from .core import (
@@ -101,6 +101,8 @@ def _write_rows(head: str, rows: Iterable[Sequence[float]]) -> None:
         values = tuple(map(add, chain.from_iterable(islice(rows, _CHUNK_ROWS)), repeat(0.0)))
         count = len(values) // 3
         text = head + (_CHUNK if count == _CHUNK_ROWS else _ROW * count) % values
+        if sys.stdout is None:  # started with descriptor 1 closed
+            raise OSError("stdout is closed")
         sys.stdout.write(text)  # looked up per call: callers may swap sys.stdout
         if count < _CHUNK_ROWS:
             return
@@ -356,7 +358,7 @@ def _discard_stdout() -> None:
     # keeps the interpreter's flush at exit from failing a second time
     try:
         fd = sys.stdout.fileno()
-    except (OSError, ValueError):  # a stream with no descriptor, or closed
+    except (AttributeError, OSError, ValueError):  # no stream, one with no descriptor, or closed
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
     try:
@@ -365,7 +367,7 @@ def _discard_stdout() -> None:
         os.close(devnull)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _write_rows(*args.handler(args))

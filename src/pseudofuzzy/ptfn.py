@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
 
 from .core import (
     DEFAULT_EPS,
@@ -36,8 +34,10 @@ from .core import (
     MembershipPair,
     PseudoFuzzyElement,
     _bad_row,
+    _Frozen,
     _require_eps,
     _require_finite,
+    _set,
 )
 from .errors import (
     AlphaOutOfRange,
@@ -49,6 +49,10 @@ from .errors import (
     ParamOutOfRange,
 )
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Iterator, Optional
+
 
 class Kind(enum.Enum):
     """Profile of the negative membership: lam = mu - 1 or lam = -mu."""
@@ -57,45 +61,47 @@ class Kind(enum.Enum):
     INDEPENDENT = "independent"
 
 
-@dataclass(frozen=True)
-class TriangleShape:
+class TriangleShape(_Frozen):
     """Triangle feet and peak: a <= b <= c with a < c."""
 
+    __slots__ = ("a", "b", "c")
     a: float
     b: float
     c: float
 
-    def __post_init__(self) -> None:
-        a = _require_finite("a", self.a)
-        b = _require_finite("b", self.b)
-        c = _require_finite("c", self.c)
+    def __init__(self, a: float, b: float, c: float) -> None:
+        a = _require_finite("a", a)
+        b = _require_finite("b", b)
+        c = _require_finite("c", c)
         if not a <= b <= c:
             raise InvalidShape(f"need a <= b <= c, got ({a!r}, {b!r}, {c!r})")
         if a == c:
             raise InvalidShape(f"zero-width triangle a == c == {a!r}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "_values", (a, b, c))
 
     @property
     def width(self) -> float:
         return self.c - self.a
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Frozen):
     """Closed real interval [lo, hi]."""
 
+    __slots__ = ("lo", "hi")
     lo: float
     hi: float
 
-    def __post_init__(self) -> None:
-        lo = _require_finite("lo", self.lo)
-        hi = _require_finite("hi", self.hi)
+    def __init__(self, lo: float, hi: float) -> None:
+        lo = _require_finite("lo", lo)
+        hi = _require_finite("hi", hi)
         if lo > hi:
             raise InvalidInterval(f"need lo <= hi, got [{lo!r}, {hi!r}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "_values", (lo, hi))
 
     @property
     def width(self) -> float:
@@ -105,18 +111,21 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
-@dataclass(frozen=True)
-class PseudoTfn:
+class PseudoTfn(_Frozen):
     """A triangular shape tagged with its negative-membership kind."""
 
+    __slots__ = ("shape", "kind")
     shape: TriangleShape
     kind: Kind
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.shape, TriangleShape):
-            raise TypeError(f"shape must be a TriangleShape, got {type(self.shape).__name__}")
-        if not isinstance(self.kind, Kind):
-            raise TypeError(f"kind must be a Kind, got {type(self.kind).__name__}")
+    def __init__(self, shape: TriangleShape, kind: Kind) -> None:
+        if not isinstance(shape, TriangleShape):
+            raise TypeError(f"shape must be a TriangleShape, got {type(shape).__name__}")
+        if not isinstance(kind, Kind):
+            raise TypeError(f"kind must be a Kind, got {type(kind).__name__}")
+        _set(self, "shape", shape)
+        _set(self, "kind", kind)
+        _set(self, "_values", (shape, kind))
 
     @classmethod
     def dependent(cls, a: float, b: float, c: float) -> "PseudoTfn":
@@ -254,6 +263,8 @@ def _sample(
     previous row's x only if ordered); core._bad_row explains a row that
     fails it.
     """
+    if n > 2**53:  # past 2**53, floats are too coarse to count the points
+        raise BadCount(f"need {count} <= 2**53 sample points, got {n!r}")
     if n != int(n) or n < 2:
         raise BadCount(f"need {count} >= 2 sample points, got {n!r}")
     n = int(n)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from conftest import run_cli
 
-from pseudofuzzy import CaseLabel, classify_case, discretize, validate_pair
+from pseudofuzzy import CaseLabel, classify_case, cli, discretize, validate_pair
 from pseudofuzzy.cli import parse_ptfn
 
 HERE = Path(__file__).parent
@@ -156,6 +157,36 @@ def test_closed_pipe_exits_2_without_traceback():
     assert stderr.count(b"\n") == 1
 
 
+def test_closed_stdout_exits_2_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", None)  # as Python sets it when descriptor 1 is closed
+    assert cli.main(["classify", "0.5", "-0.5"]) == 2
+    assert capsys.readouterr().err == "error: cannot write output: stdout is closed\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "0.5", "-0.5"],
+    ["curve", str(SAMPLES / "demo_p.json"), "--n", "5"],
+])
+def test_closed_stdout_descriptor_exits_2(argv):
+    command = shlex.join([sys.executable, "-m", "pseudofuzzy", *argv]) + " >&-"
+    result = subprocess.run(["sh", "-c", command], capture_output=True)
+    assert result.returncode == 2
+    assert result.stderr == b"error: cannot write output: stdout is closed\n"
+
+
+@pytest.mark.parametrize("count", [str(2**53 + 1), str(10**400)], ids=["2**53+1", "10**400"])
+@pytest.mark.parametrize("argv, message", [
+    (["curve", DEP, "--n"], "need n <= 2**53 sample points"),
+    (["verify", DEP, "--grid"], "need grid <= 2**53 sample points"),
+    (["arith", "mul", DEP, DEP2, "--levels"], "need levels <= 2**53"),
+])
+def test_counts_beyond_float_precision_are_bad_counts(argv, message, count):
+    result = run_cli([*argv, count])
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr == f"error: {message}, got {count}\n".encode()
+
+
 # inherited environment, and the C locale, where stdin's text layer
 # decodes with surrogateescape
 @pytest.mark.parametrize("env", [None, {**os.environ, "LC_ALL": "C"}], ids=["default", "c_locale"])
@@ -242,6 +273,23 @@ def test_cli_never_imports_numpy():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.endswith(b"checked\n")
+
+
+def test_cli_import_leaves_out_costly_modules():
+    # -S leaves out site, whose .pth files may import typing on their own
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from pseudofuzzy import cli
+
+        assert cli.main(["classify", "0.3", "-0.4"]) == 0
+        assert cli.main(["arith", "mul", {DEP!r}, {DEP2!r}, "--levels", "3"]) == 0
+        print(sorted({{"dataclasses", "inspect", "typing", "numpy"}} & set(sys.modules)))
+        """
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith(b"\n[]\n")
 
 
 def test_unknown_subcommand_is_usage_error():

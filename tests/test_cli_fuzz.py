@@ -22,8 +22,10 @@ NUMBERS = ["0", "1", "-1", "0.5", "-0.5", "2", "-0.0", "1e308", "-1e308", "1.7e3
            "1_000", "", "abc"]
 numbers = st.one_of(st.sampled_from(NUMBERS), st.floats().map(repr), st.floats(-1.5, 1.5).map(repr),
                     st.integers(-10**30, 10**30).map(str))
-# --n, --levels and --grid stay within a few thousand, so that each call is fast
-counts = st.one_of(st.integers(-2, 3000).map(str), st.sampled_from(["1.5", "nan", "1e3", "", "x"]))
+# --n, --levels and --grid that run stay within a few thousand, so that each call is fast;
+# those past 2**53 are refused before they run
+counts = st.one_of(st.integers(-2, 3000).map(str), st.integers(2**53 + 1, 10**400).map(str),
+                   st.sampled_from(["1.5", "nan", "1e3", "", "x"]))
 
 # JSON values as typed: numbers huge, tiny and non-finite, then other types,
 # deeply nested ones among them
