@@ -27,9 +27,16 @@ import math
 import operator
 from bisect import bisect_left
 
-from .core import DEFAULT_EPS, MembershipPair, _Frozen, _require_finite, _set
+from .core import (
+    _MAX_COUNT,
+    DEFAULT_EPS,
+    MembershipPair,
+    _Frozen,
+    _require_count,
+    _require_finite,
+    _set,
+)
 from .errors import (
-    BadCount,
     DivisorStraddlesZero,
     InvalidCutTable,
     KindMismatch,
@@ -46,6 +53,8 @@ if TYPE_CHECKING:
 
 DEFAULT_LEVELS = 11
 DEFAULT_ORACLE_GRID = 256
+# the oracle holds about four (grid + 2)**2 float64 arrays: 0.53 GB traced at this bound
+MAX_ORACLE_GRID = 4096
 
 Row = tuple[float, float, float]  # (alpha, lo, hi) of a cut table
 
@@ -127,11 +136,7 @@ def _require_same_kind(p: PseudoTfn, q: PseudoTfn) -> Kind:
 
 def _last_level(levels: int) -> int:
     """The index of the last of levels equally spaced alphas; level j is j / last."""
-    if levels > 2**53:  # past 2**53, neighbouring levels j / last may round to one float
-        raise BadCount(f"need levels <= 2**53, got {levels!r}")
-    if levels != int(levels) or levels < 2:
-        raise BadCount(f"need levels >= 2, got {levels!r}")
-    return int(levels) - 1
+    return _require_count(levels, 2, _MAX_COUNT, "levels") - 1
 
 
 def _check_divisor(q: PseudoTfn) -> None:
@@ -296,21 +301,19 @@ def extension_oracle(
     """Brute-force sup-min lift of a crisp binary operation.
 
     Each support is sampled on grid_per_operand uniform subintervals
-    (plus the peak). Every sample pair contributes the crisp result with
-    membership min(mu_p, mu_q); each level row is the min/max of results
-    whose membership reaches that level. Endpoints converge to the exact
-    cut arithmetic at rate (support width) / grid_per_operand per
-    operand.
+    (plus the peak), 16 to MAX_ORACLE_GRID of them. Every sample pair
+    contributes the crisp result with membership min(mu_p, mu_q); each
+    level row is the min/max of results whose membership reaches that
+    level. Endpoints converge to the exact cut arithmetic at rate
+    (support width) / grid_per_operand per operand.
     """
     import numpy as np
 
     kind = _require_same_kind(p, q)
-    if grid_per_operand != int(grid_per_operand) or grid_per_operand < 16:
-        raise BadCount(f"need grid_per_operand >= 16, got {grid_per_operand!r}")
+    grid = _require_count(grid_per_operand, 16, MAX_ORACLE_GRID, "grid_per_operand")
     if op is BinaryOpCode.DIV:
         _check_divisor(q)
     last = _last_level(levels)
-    grid = int(grid_per_operand)
 
     xs = _oracle_samples(p, grid)
     ys = _oracle_samples(q, grid)

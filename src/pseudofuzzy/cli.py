@@ -3,7 +3,9 @@
 A pseudo triangular fuzzy number is described by a JSON document with
 exactly the fields a, b, c (numbers) and kind ("dependent" or
 "independent"). Commands read the document from a file path or from
-standard input when the path is "-", as bytes. Each command returns its
+standard input when the path is "-", as bytes. verify --table reads a
+curve CSV a block of lines at a time, as (xs, mus, lams) columns that
+ptfn's one kind checker takes as they come. Each command returns its
 output as a head and rows, and main writes both with _write_rows, the only
 code here that writes standard output.
 
@@ -21,7 +23,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice, repeat
-from operator import add
+from operator import add, ge, le, lt
 
 from . import arith
 from .core import (
@@ -54,6 +56,12 @@ from .ptfn import (
 from .core import validate_set  # noqa: F401
 from .ptfn import discretize, set_kind_violation  # noqa: F401
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import NoReturn
+
+    from .ptfn import Columns
+
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
@@ -76,8 +84,13 @@ _CHUNK_ROWS = 4096
 # a row of three values as _fmt writes them; "%.12g" % v is f"{v:.12g}"
 _ROW = "%.12g,%.12g,%.12g\n"
 _CHUNK = _ROW * _CHUNK_ROWS
-# bytes of a CSV table decoded and split at a time
-_BLOCK_BYTES = 1 << 16
+# bytes of a CSV table decoded, split and parsed at a time. A block's lines,
+# fields and floats are held together: verify --table's traced peak is the
+# file's size plus about 35 times this
+_BLOCK_BYTES = 1 << 14
+# the UTF-8 of each line break of str.splitlines(): a match starts on a
+# character, and takes a "\r\n" pair whole
+_LINE_BREAK = re.compile(rb"\r\n?|[\n\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
 # what a command returns, for main to write: a head and three-value rows
 _Output = tuple[str, Iterable[Sequence[float]]]
 
@@ -184,32 +197,82 @@ def _load_ptfn(path: str) -> PseudoTfn:
 
 
 def _blocks(data: bytes) -> Iterator[str]:
-    """The text of UTF-8 data in blocks of about _BLOCK_BYTES, each ending just after a newline.
+    """The text of UTF-8 data in blocks of about _BLOCK_BYTES, each ending just after a line break.
 
     Neither a UTF-8 sequence nor a "\\r\\n" pair straddles a block's end,
     so the blocks' splitlines() are the lines of the whole text.
     """
     start = 0
     while start < len(data):
-        end = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+        found = _LINE_BREAK.search(data, start + _BLOCK_BYTES)
+        end = found.end() if found else len(data)
         yield data[start:end].decode("utf-8")
         start = end
 
 
-def _curve_rows(data: bytes) -> Iterator[tuple[float, float, float]]:
-    """Yield the (x, mu, lam) rows of a curve CSV, checking each as it is read.
+def _curve_columns(data: bytes) -> Iterator[Columns]:
+    """Yield the (xs, mus, lams) columns of a curve CSV, a block of lines at a time.
 
     Blank lines and lines starting with # are skipped, and line numbers
     count the lines kept, the header being line 1. Each row must hold three
-    numbers and pass core's one row check, made inline; core._bad_row
-    explains a row that fails it. The first defect raises DocumentError.
+    numbers and pass core's one row check, made on a block's columns by
+    _block_columns; _bad_curve_line walks a block that fails it line by
+    line. The first defect raises DocumentError.
     """
-    lines = chain.from_iterable(map(str.splitlines, _blocks(data)))
-    lines = (line for line in lines if line and not line.startswith("#"))
-    if next(lines, None) != _CURVE_HEADER:
+    prev, offset, header = -math.inf, 0, None
+    for block in _blocks(data):
+        lines = block.splitlines()
+        if "#" in block or "" in lines:
+            lines = [line for line in lines if line and not line.startswith("#")]
+        if header is None and lines:
+            header = lines.pop(0)
+            if header != _CURVE_HEADER:
+                break  # reported below, as a missing header is
+        if not lines:
+            continue
+        columns = _block_columns(lines, prev)
+        if columns is None:
+            _bad_curve_line(lines, offset, prev)
+        yield columns
+        prev, offset = columns[0][-1], offset + len(lines)
+    if header != _CURVE_HEADER:
         raise DocumentError(f"curve CSV must start with header '{_CURVE_HEADER}'")
-    inf, prev = math.inf, -math.inf
-    for i, line in enumerate(lines):
+    if offset == 0:
+        raise DocumentError("curve CSV has no data rows")
+
+
+def _block_columns(lines: list[str], prev: float) -> Columns | None:
+    """The (xs, mus, lams) columns of data lines, or None if a line is bad.
+
+    A line is bad if it does not hold three numbers or its row fails core's
+    one row check after a row at prev. Every step runs in C-level builtins.
+    """
+    # a line holds 3 fields exactly when it holds 2 commas
+    if list(map(str.count, lines, repeat(","))).count(2) != len(lines):
+        return None
+    try:
+        values = list(map(float, ",".join(lines).split(",")))
+    except ValueError:  # a field that is not a number
+        return None
+    xs, mus, lams = values[0::3], values[1::3], values[2::3]
+    # x rises strictly from above prev to below inf, which also rules out NaN
+    if (
+        xs[0] > prev and xs[-1] < math.inf and all(map(lt, xs, islice(xs, 1, None)))
+        and all(map(le, repeat(0.0), mus)) and all(map(ge, repeat(1.0), mus))
+        and all(map(le, repeat(-1.0), lams)) and all(map(ge, repeat(0.0), lams))
+    ):
+        return xs, mus, lams
+    return None
+
+
+def _bad_curve_line(lines: list[str], offset: int, prev: float) -> NoReturn:
+    """Raise the DocumentError of the first bad line of a block that failed its check.
+
+    The lines are data lines offset to offset + len(lines) - 1, counted from
+    0, and prev is the x of the row before them.
+    """
+    inf = math.inf
+    for i, line in enumerate(lines, offset):
         parts = line.split(",")
         if len(parts) != 3:
             raise DocumentError(f"line {i + 2}: expected 3 comma-separated values")
@@ -222,10 +285,8 @@ def _curve_rows(data: bytes) -> Iterator[tuple[float, float, float]]:
                 _bad_row(i, prev, x, mu, lam)
             except PseudoFuzzyError as exc:
                 raise DocumentError(f"invalid curve rows: {exc}") from None
-        yield x, mu, lam
         prev = x
-    if prev == -inf:
-        raise DocumentError("curve CSV has no data rows")
+    raise AssertionError("a block that failed its check has no bad line")
 
 
 def cmd_eval(args: argparse.Namespace) -> _Output:
@@ -273,9 +334,9 @@ def cmd_verify(args: argparse.Namespace) -> _Output:
     if args.table:
         if args.kind is None:
             raise DocumentError("--table requires --kind")
-        rows = _curve_rows(_read_bytes(args.input))
-        violation = _first_violation(rows, Kind(args.kind), args.eps)
-        for _ in rows:  # the rest of the table is checked as well
+        columns = _curve_columns(_read_bytes(args.input))
+        violation = _first_violation(columns, Kind(args.kind), args.eps)
+        for _ in columns:  # the rest of the table is checked as well
             pass
         _require_eps(args.eps)  # after the table, whose defects take precedence
     else:

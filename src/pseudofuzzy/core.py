@@ -18,6 +18,7 @@ import enum
 import math
 
 from .errors import (
+    BadCount,
     BadTolerance,
     DuplicateSupportPoint,
     LambdaOutOfRange,
@@ -47,6 +48,31 @@ def _require_eps(eps: float) -> float:
     if not math.isfinite(eps) or eps <= 0.0:
         raise BadTolerance(f"eps must be a finite positive real, got {eps!r}")
     return eps
+
+
+#: The most points or levels a count may ask for: past 2**53, floats are too
+#: coarse to tell neighbouring points or levels apart.
+_MAX_COUNT = 2**53
+
+
+def _show_count(n: object) -> str:
+    try:
+        return repr(n)
+    except ValueError:  # an int with more digits than str() converts
+        return f"{'a negative' if n < 0 else 'an'} integer of {n.bit_length()} bits"
+
+
+def _require_count(n: int, least: int, most: int, name: str, unit: str = "") -> int:
+    """n as an int in [least, most], or BadCount "need {name} <= {most}{unit}, got n".
+
+    NaN, a non-integral n and an n below least get the ">= least" message.
+    """
+    if n > most:
+        bound = "2**53" if most == _MAX_COUNT else most
+        raise BadCount(f"need {name} <= {bound}{unit}, got {_show_count(n)}")
+    if not (n >= least and n == int(n)):  # NaN and -inf fail n >= least before int()
+        raise BadCount(f"need {name} >= {least}{unit}, got {_show_count(n)}")
+    return int(n)
 
 
 class CaseLabel(enum.IntEnum):

@@ -27,21 +27,24 @@ from __future__ import annotations
 
 import enum
 import math
+from itertools import compress, islice, repeat
+from operator import lt, sub
 
 from .core import (
+    _MAX_COUNT,
     DEFAULT_EPS,
     DiscretePseudoFuzzySet,
     MembershipPair,
     PseudoFuzzyElement,
     _bad_row,
     _Frozen,
+    _require_count,
     _require_eps,
     _require_finite,
     _set,
 )
 from .errors import (
     AlphaOutOfRange,
-    BadCount,
     BadRange,
     BetaOutOfRange,
     InvalidInterval,
@@ -51,7 +54,9 @@ from .errors import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable, Iterator, Optional
+    from typing import Iterable, Iterator, Optional, Sequence
+
+    Columns = tuple[Sequence[float], Sequence[float], Sequence[float]]  # xs, mus, lams
 
 
 class Kind(enum.Enum):
@@ -177,6 +182,13 @@ def _lam(kind: Kind, mu: float) -> float:
     return 0.0 - mu  # not -mu: lam is +0.0 where mu is 0
 
 
+def _lams(kind: Kind, mus: Iterable[float]) -> Iterator[float]:
+    """_lam over a column of mu, the same floats computed by C-level builtins."""
+    if kind is Kind.DEPENDENT:
+        return map(sub, mus, repeat(1.0))
+    return map(sub, repeat(0.0), mus)
+
+
 def lambda_at(p: PseudoTfn, x: float) -> float:
     """Negative membership at x per the number's kind."""
     return _lam(p.kind, mu_at(p, x))
@@ -263,11 +275,7 @@ def _sample(
     previous row's x only if ordered); core._bad_row explains a row that
     fails it.
     """
-    if n > 2**53:  # past 2**53, floats are too coarse to count the points
-        raise BadCount(f"need {count} <= 2**53 sample points, got {n!r}")
-    if n != int(n) or n < 2:
-        raise BadCount(f"need {count} >= 2 sample points, got {n!r}")
-    n = int(n)
+    n = _require_count(n, 2, _MAX_COUNT, count, " sample points")
     xmin = _require_finite("xmin", xmin)
     xmax = _require_finite("xmax", xmax)
     if not xmin < xmax:
@@ -302,13 +310,26 @@ def discretize(p: PseudoTfn, n: int, xmin: float, xmax: float) -> DiscretePseudo
     )
 
 
-def _first_violation(rows: Iterable, kind: Kind, eps: float) -> Optional[float]:
-    """x of the first (x, mu, lam) row whose lam is off the kind identity by more than eps.
+# rows per column chunk that the library's kind checks hand to _first_violation
+_COLUMN_ROWS = 4096
 
-    eps is not checked here. Rows after that one are left unread.
+
+def _columns(rows: Iterable) -> Iterator[Columns]:
+    """The (x, mu, lam) rows as (xs, mus, lams) columns, _COLUMN_ROWS rows at a time."""
+    rows = iter(rows)
+    return iter(lambda: tuple(zip(*islice(rows, _COLUMN_ROWS))), ())
+
+
+def _first_violation(columns: Iterable[Columns], kind: Kind, eps: float) -> Optional[float]:
+    """x of the first row whose lam is off the kind identity by more than eps.
+
+    The rows come as (xs, mus, lams) columns. eps is not checked here.
+    Columns after the one holding that row are left unread.
     """
-    for x, mu, lam in rows:
-        if abs(lam - _lam(kind, mu)) > eps:
+    for xs, mus, lams in columns:
+        off = map(abs, map(sub, lams, _lams(kind, mus)))
+        x = next(compress(xs, map(lt, repeat(eps), off)), None)
+        if x is not None:
             return x
     return None
 
@@ -316,11 +337,11 @@ def _first_violation(rows: Iterable, kind: Kind, eps: float) -> Optional[float]:
 def kind_violation(p: PseudoTfn, grid: int, eps: float = DEFAULT_EPS) -> Optional[float]:
     """First sampled x where p breaks its kind identity, or None.
 
-    Samples grid points over the default window, one at a time.
+    Samples grid points over the default window, a chunk at a time.
     """
     # a grid is not a set: rounding may repeat an x
     rows = _sample(p, grid, *_default_window(p), "grid", ordered=False)
-    return _first_violation(rows, p.kind, _require_eps(eps))
+    return _first_violation(_columns(rows), p.kind, _require_eps(eps))
 
 
 def verify_kind(p: PseudoTfn, grid: int, eps: float = DEFAULT_EPS) -> bool:
@@ -333,4 +354,4 @@ def set_kind_violation(
 ) -> Optional[float]:
     """First x of a discrete set whose pair breaks the given kind rule."""
     rows = ((e.x, e.pair.mu, e.pair.lam) for e in dset)
-    return _first_violation(rows, kind, _require_eps(eps))
+    return _first_violation(_columns(rows), kind, _require_eps(eps))

@@ -1,10 +1,12 @@
 """Edge behavior: immutability, degenerate sides, continuity, odd inputs."""
 
 import dataclasses
+import math
 
 import pytest
 
 from pseudofuzzy import (
+    BadCount,
     BinaryOpCode,
     DocumentError,
     Interval,
@@ -14,7 +16,10 @@ from pseudofuzzy import (
     TriangleShape,
     alpha_cut_mu,
     beta_cut_lambda,
+    cut_table,
+    discretize,
     extension_oracle,
+    kind_violation,
     lambda_of_result,
     mu_at,
     mul,
@@ -118,3 +123,70 @@ class TestOracleLambdaDerivation:
         assert (peak.mu, peak.lam) == (1.0, -1.0)
         outside = lambda_of_result(table, -10.0)
         assert (outside.mu, outside.lam) == (0.0, 0.0)
+
+
+P = PseudoTfn.dependent(0.0, 1.0, 2.0)
+HUGE = 10**5000  # more digits than str() converts by default
+HUGE_BITS = HUGE.bit_length()
+ADD = BinaryOpCode.ADD
+
+# (call, count, message): every library count is checked before it is used,
+# and the message of a count that repr() formats is what it always was
+def case(call, count, message, id):
+    return pytest.param(call, count, message, id=id)
+
+
+# every library count is checked before it is used, and the message of a
+# count that repr() formats is what it always was
+COUNT_CASES = [
+    case(lambda n: discretize(P, n, 0.0, 1.0), math.nan,
+         "need n >= 2 sample points, got nan", "discretize-nan"),
+    case(lambda n: discretize(P, n, 0.0, 1.0), 2.5,
+         "need n >= 2 sample points, got 2.5", "discretize-fraction"),
+    case(lambda n: discretize(P, n, 0.0, 1.0), -math.inf,
+         "need n >= 2 sample points, got -inf", "discretize--inf"),
+    case(lambda n: discretize(P, n, 0.0, 1.0), math.inf,
+         "need n <= 2**53 sample points, got inf", "discretize-inf"),
+    case(lambda n: discretize(P, n, 0.0, 1.0), 2**53 + 1,
+         "need n <= 2**53 sample points, got 9007199254740993", "discretize-2**53+1"),
+    case(lambda n: discretize(P, n, 0.0, 1.0), HUGE,
+         f"need n <= 2**53 sample points, got an integer of {HUGE_BITS} bits", "discretize-huge"),
+    case(lambda n: discretize(P, n, 0.0, 1.0), -HUGE,
+         f"need n >= 2 sample points, got a negative integer of {HUGE_BITS} bits",
+         "discretize--huge"),
+    case(lambda n: kind_violation(P, n), math.nan,
+         "need grid >= 2 sample points, got nan", "kind_violation-nan"),
+    case(lambda n: kind_violation(P, n), HUGE,
+         f"need grid <= 2**53 sample points, got an integer of {HUGE_BITS} bits",
+         "kind_violation-huge"),
+    case(lambda n: mul(P, P, n), math.nan, "need levels >= 2, got nan", "mul-nan"),
+    case(lambda n: mul(P, P, n), HUGE,
+         f"need levels <= 2**53, got an integer of {HUGE_BITS} bits", "mul-huge"),
+    case(lambda n: cut_table(P, n), 1, "need levels >= 2, got 1", "cut_table-1"),
+    case(lambda n: cut_table(P, n), 10**400,
+         f"need levels <= 2**53, got {10**400!r}", "cut_table-10**400"),
+    case(lambda n: extension_oracle(P, P, ADD, n), math.nan,
+         "need grid_per_operand >= 16, got nan", "oracle-nan"),
+    case(lambda n: extension_oracle(P, P, ADD, n), 8,
+         "need grid_per_operand >= 16, got 8", "oracle-8"),
+    case(lambda n: extension_oracle(P, P, ADD, n), 4097,
+         "need grid_per_operand <= 4096, got 4097", "oracle-4097"),
+    case(lambda n: extension_oracle(P, P, ADD, n), 10**400,
+         f"need grid_per_operand <= 4096, got {10**400!r}", "oracle-10**400"),
+    case(lambda n: extension_oracle(P, P, ADD, n), HUGE,
+         f"need grid_per_operand <= 4096, got an integer of {HUGE_BITS} bits", "oracle-huge"),
+    case(lambda n: extension_oracle(P, P, ADD, 16, n), math.nan,
+         "need levels >= 2, got nan", "oracle-levels-nan"),
+]
+
+
+@pytest.mark.parametrize("call,count,message", COUNT_CASES)
+def test_a_bad_count_is_a_bad_count(call, count, message):
+    with pytest.raises(BadCount) as info:
+        call(count)
+    assert str(info.value) == message
+
+
+def test_an_integral_float_count_is_taken():
+    assert len(discretize(P, 3.0, 0.0, 1.0)) == 3
+    assert len(extension_oracle(P, P, ADD, 16.0, 3.0).rows) == 3

@@ -1,5 +1,6 @@
 """Streamed CLI output: rows match the library at chunk edges, memory stays
-flat in the row count, and verify --table checks a table line by line."""
+flat in the row count, and verify --table checks a table a block of lines
+at a time as it would line by line."""
 
 import contextlib
 import io
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudofuzzy import (
+    DEFAULT_EPS,
     Kind,
     PseudoFuzzyError,
     PseudoTfn,
@@ -20,12 +22,13 @@ from pseudofuzzy import (
     cut_table,
     discretize,
     div,
+    kind_violation,
     mul,
     set_kind_violation,
     sub,
     validate_set,
 )
-from pseudofuzzy import cli
+from pseudofuzzy import cli, ptfn
 
 CHUNK = cli._CHUNK_ROWS
 SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
@@ -173,6 +176,19 @@ def test_verify_table_holds_the_file_once(tmp_path):
 LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
 
 
+@pytest.mark.parametrize("end", ["\r", "\r\n", "\x0c", "\x1e"], ids=repr)
+def test_verify_table_holds_the_file_once_whatever_its_line_breaks(tmp_path, end):
+    # a block ends at any line break, not only at "\n"; ASCII ones only,
+    # as other input is decoded whole once to check it
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["curve", doc(tmp_path, DEP, "p"), "--n", "50001"])
+    table = tmp_path / "curve.csv"
+    table.write_bytes(out.getvalue().replace("\n", end).encode())
+    size = table.stat().st_size
+    assert traced_peak(["verify", str(table), "--table", "--kind", "dependent"]) <= 2 * size
+
+
 @settings(deadline=None)
 @given(st.lists(st.tuples(st.text(alphabet="0,1.é-#x", max_size=6), st.sampled_from(LINE_BREAKS))),
        st.integers(min_value=1, max_value=8))
@@ -314,13 +330,19 @@ def curve_tables(draw):
     return rows, draw(st.sampled_from(list(Kind)))
 
 
+# bytes per block: small ones put a defect, a violation or the header on
+# the first or last line of a block, and carry prev and the line count over
+BLOCKS = [cli._BLOCK_BYTES, 1, 8, 16, 32, 64]
+
+
 @settings(deadline=None, max_examples=300)
-@given(curve_tables(), st.booleans())
-def test_verify_table_explains_a_row_as_validate_set_does(table, as_bytes):
+@given(curve_tables(), st.booleans(), st.sampled_from(BLOCKS))
+def test_verify_table_explains_a_row_as_validate_set_does(table, as_bytes, block):
     rows, kind = table
     text = "x,mu,lambda\n" + "".join(f"{x!r},{mu!r},{lam!r}\n" for x, mu, lam in rows)
-    got = run_main(["verify", "-", "--table", "--kind", kind.value],
-                   text.encode() if as_bytes else text)
+    with mock.patch.object(cli, "_BLOCK_BYTES", block):
+        got = run_main(["verify", "-", "--table", "--kind", kind.value],
+                       text.encode() if as_bytes else text)
     try:
         dset = validate_set(rows)
     except PseudoFuzzyError as exc:
@@ -328,3 +350,115 @@ def test_verify_table_explains_a_row_as_validate_set_does(table, as_bytes):
     else:
         x = set_kind_violation(dset, kind)
         assert got == (0, "ok\n" if x is None else f"violation at x={fmt(x)}\n", "")
+
+
+def first_violation_by_rows(rows, kind, eps=DEFAULT_EPS):
+    """x of the first (x, mu, lam) row off the kind identity, checked a row at a time."""
+    for x, mu, lam in rows:
+        want = mu - 1.0 if kind is Kind.DEPENDENT else 0.0 - mu
+        if abs(lam - want) > eps:
+            return x
+    return None
+
+
+# lines a table may hold between its rows, and before its header
+FILLERS = ["", "# a comment", "#1,2,3", "# x,mu,lambda"]
+ENDS = ["\n", "\r\n"]
+
+
+@st.composite
+def decorated_tables(draw):
+    """A curve table as text, with up to two defects: its rows may hold one
+    (curve_tables), and a line may be one that is not three numbers.
+
+    Returns the text, the rows, the kind, and the index and message of that
+    line or None. Comment, blank and CRLF lines come between the rows and
+    before the header.
+    """
+    rows, kind = draw(curve_tables())
+    lines = [f"{x!r},{mu!r},{lam!r}" for x, mu, lam in rows]
+    bad_line = None
+    i = draw(st.integers(0, len(rows) - 1))
+    defect = draw(st.sampled_from(["none", "fields", "text", "header"]))
+    if defect == "fields":
+        lines[i] = draw(st.sampled_from([lines[i].rsplit(",", 1)[0], lines[i] + ",0"]))
+        bad_line = i, f"error: line {i + 2}: expected 3 comma-separated values\n"
+    elif defect == "text":
+        fields = lines[i].split(",")
+        fields[draw(st.integers(0, 2))] = draw(st.sampled_from(["", "x", "1e", "0x1"]))
+        lines[i] = ",".join(fields)
+        bad_line = i, f"error: line {i + 2}: non-numeric value\n"
+    elif defect == "header":  # a header is a row's line after line 1
+        lines[i] = "x,mu,lambda"
+        bad_line = i, f"error: line {i + 2}: non-numeric value\n"
+    text = ""
+    for line in draw(st.lists(st.sampled_from(FILLERS), max_size=2)) + ["x,mu,lambda"]:
+        text += line + draw(st.sampled_from(ENDS))
+    for line in lines:
+        for filler in draw(st.lists(st.sampled_from(FILLERS), max_size=2)):
+            text += filler + draw(st.sampled_from(ENDS))
+        text += line + draw(st.sampled_from(ENDS))
+    return text, rows, kind, bad_line
+
+
+@settings(deadline=None, max_examples=400)
+@given(decorated_tables(), st.sampled_from(BLOCKS))
+def test_verify_table_explains_a_row_across_blocks(table, block):
+    text, rows, kind, bad_line = table
+    with mock.patch.object(cli, "_BLOCK_BYTES", block):
+        got = run_main(["verify", "-", "--table", "--kind", kind.value], text.encode())
+    if bad_line is not None:
+        rows = rows[:bad_line[0]]  # a defect in the rows before the bad line is reported first
+    try:
+        validate_set(rows)
+    except PseudoFuzzyError as exc:
+        assert got == (2, "", f"error: invalid curve rows: {exc}\n")
+    else:
+        if bad_line is not None:
+            assert got == (2, "", bad_line[1])
+        else:
+            x = first_violation_by_rows(rows, kind)
+            assert got == (0, "ok\n" if x is None else f"violation at x={fmt(x)}\n", "")
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("first,second", [(0, 1), (3, 40), (40, 59)])
+def test_verify_table_reports_the_first_of_violations_in_two_blocks(block, first, second):
+    rows = [(float(i), 0.5, -0.5) for i in range(60)]
+    for i in (first, second):
+        rows[i] = (float(i), 0.25, -0.5)  # off lam = mu - 1 by 0.25
+    text = "x,mu,lambda\n" + "".join(f"{x!r},{mu!r},{lam!r}\n" for x, mu, lam in rows)
+    with mock.patch.object(cli, "_BLOCK_BYTES", block):
+        got = run_main(["verify", "-", "--table", "--kind", "dependent"], text)
+    assert got == (0, f"violation at x={first}\n", "")
+
+
+@st.composite
+def tampered_samples(draw):
+    """A PTFN, a grid that may cross a chunk edge, and its sampled rows with up
+    to two lams moved off the identity, some of them at a chunk's edge."""
+    a = draw(st.floats(-100.0, 100.0))
+    b = a + draw(st.floats(0.0, 50.0))
+    c = b + draw(st.floats(0.01, 50.0))
+    p = PseudoTfn(ptfn.TriangleShape(a, b, c), draw(st.sampled_from(list(Kind))))
+    grid = draw(st.sampled_from([2, 101] + SIZES))
+    rows = [(e.x, e.pair.mu, e.pair.lam) for e in discretize(p, grid, *cli._default_window(p))]
+    edges = [i for i in (0, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK, grid - 1) if i < grid]
+    spots = st.one_of(st.sampled_from(edges), st.integers(0, grid - 1))
+    for i in draw(st.lists(spots, max_size=2)):
+        x, mu, lam = rows[i]
+        rows[i] = (x, mu, -1.0 - lam)  # still in [-1, 0]; off unless lam is -0.5
+    return p, grid, rows
+
+
+@settings(deadline=None, max_examples=40)
+@given(tampered_samples())
+def test_library_kind_checks_report_the_first_row(sample):
+    p, grid, rows = sample
+    dset = validate_set(rows)
+    for kind in Kind:
+        assert set_kind_violation(dset, kind) == first_violation_by_rows(rows, kind)
+    assert kind_violation(p, grid) is None
+    # kind_violation checks the rows that ptfn samples, however they come
+    with mock.patch.object(ptfn, "_sample_rows", lambda *args: iter(rows)):
+        assert kind_violation(p, grid) == first_violation_by_rows(rows, p.kind)
