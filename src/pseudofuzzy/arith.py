@@ -43,7 +43,7 @@ from .errors import (
     NonFinite,
     ZeroScale,
 )
-from .ptfn import Interval, Kind, PseudoTfn, TriangleShape, _cut, _lam, mu_at
+from .ptfn import Interval, Kind, PseudoTfn, TriangleShape, _cut, _lam, _require_kind, mu_at
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -80,7 +80,7 @@ class CutTable(_Frozen):
 
     def __init__(self, rows: Iterable[tuple[float, Interval]], kind: Kind) -> None:
         _set(self, "rows", rows)
-        _set(self, "kind", kind)
+        _set(self, "kind", _require_kind(kind))
         self.__post_init__()  # through self, so a wrapper set on the class sees the call
         _set(self, "_values", (self.rows, kind))
 

@@ -339,6 +339,8 @@ def cmd_verify(args: argparse.Namespace) -> _Output:
         for _ in columns:  # the rest of the table is checked as well
             pass
         _require_eps(args.eps)  # after the table, whose defects take precedence
+    elif args.kind is not None:
+        raise DocumentError("--kind requires --table")
     else:
         p = _load_ptfn(args.input)
         violation = kind_violation(p, args.grid, args.eps)

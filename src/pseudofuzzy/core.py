@@ -168,7 +168,7 @@ class PseudoFuzzyElement(_Frozen):
 
 
 class DiscretePseudoFuzzySet(_Frozen):
-    """Finite pseudo fuzzy set: elements ordered by strictly increasing x."""
+    """Finite pseudo fuzzy set: elements sorted by strictly increasing x."""
 
     __slots__ = ("elements",)
     elements: tuple[PseudoFuzzyElement, ...]
@@ -258,7 +258,7 @@ def _bad_row(index: int, prev: float, x: float, mu: float, lam: float) -> NoRetu
 
     Callers check each row inline and call this only on a row that fails
     -inf < x < inf and 0 <= mu <= 1 and -1 <= lam <= 0 and x > prev;
-    prev is -inf for the first row, or for rows in no order.
+    prev is -inf for the first row.
     """
     _as_element((x, mu, lam), index)
     if x == prev:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from operator import lt, sub
 
 from .core import (
@@ -64,6 +64,12 @@ class Kind(enum.Enum):
 
     DEPENDENT = "dependent"
     INDEPENDENT = "independent"
+
+
+def _require_kind(kind: Kind) -> Kind:
+    if not isinstance(kind, Kind):
+        raise TypeError(f"kind must be a Kind, got {type(kind).__name__}")
+    return kind
 
 
 class TriangleShape(_Frozen):
@@ -126,10 +132,8 @@ class PseudoTfn(_Frozen):
     def __init__(self, shape: TriangleShape, kind: Kind) -> None:
         if not isinstance(shape, TriangleShape):
             raise TypeError(f"shape must be a TriangleShape, got {type(shape).__name__}")
-        if not isinstance(kind, Kind):
-            raise TypeError(f"kind must be a Kind, got {type(kind).__name__}")
         _set(self, "shape", shape)
-        _set(self, "kind", kind)
+        _set(self, "kind", _require_kind(kind))
         _set(self, "_values", (shape, kind))
 
     @classmethod
@@ -266,14 +270,11 @@ def _default_window(p: PseudoTfn) -> tuple[float, float]:
     return p.a - width, p.c + width
 
 
-def _sample(
-    p: PseudoTfn, n: int, xmin: float, xmax: float, count: str = "n", ordered: bool = True
-) -> Iterator:
+def _sample(p: PseudoTfn, n: int, xmin: float, xmax: float, count: str = "n") -> Iterator:
     """Check now; later yield (x, mu, lam) at n even steps over [xmin, xmax].
 
     Each row passes core's one row check, made inline (x after the
-    previous row's x only if ordered); core._bad_row explains a row that
-    fails it.
+    previous row's x); core._bad_row explains a row that fails it.
     """
     n = _require_count(n, 2, _MAX_COUNT, count, " sample points")
     xmin = _require_finite("xmin", xmin)
@@ -282,10 +283,10 @@ def _sample(
         raise BadRange(f"need xmin < xmax, got [{xmin!r}, {xmax!r}]")
     if xmax - xmin == math.inf:
         raise BadRange(f"window width xmax - xmin overflows, got [{xmin!r}, {xmax!r}]")
-    return _sample_rows(p, n, xmin, xmax, ordered)
+    return _sample_rows(p, n, xmin, xmax)
 
 
-def _sample_rows(p: PseudoTfn, n: int, xmin: float, xmax: float, ordered: bool) -> Iterator:
+def _sample_rows(p: PseudoTfn, n: int, xmin: float, xmax: float) -> Iterator:
     a, b, c, kind, inf = p.a, p.b, p.c, p.kind, math.inf
     span, last, prev = xmax - xmin, n - 1, -inf
     # 1.0 changes no bits; past the float range, a power of two keeps i * step finite
@@ -298,8 +299,7 @@ def _sample_rows(p: PseudoTfn, n: int, xmin: float, xmax: float, ordered: bool) 
         if not (-inf < x < inf and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0 and x > prev):
             _bad_row(i, prev, x, mu, lam)
         yield x, mu, lam
-        if ordered:
-            prev = x
+        prev = x
 
 
 def discretize(p: PseudoTfn, n: int, xmin: float, xmax: float) -> DiscretePseudoFuzzySet:
@@ -308,16 +308,6 @@ def discretize(p: PseudoTfn, n: int, xmin: float, xmax: float) -> DiscretePseudo
     return DiscretePseudoFuzzySet(
         tuple(PseudoFuzzyElement(x, MembershipPair(mu, lam)) for x, mu, lam in rows)
     )
-
-
-# rows per column chunk that the library's kind checks hand to _first_violation
-_COLUMN_ROWS = 4096
-
-
-def _columns(rows: Iterable) -> Iterator[Columns]:
-    """The (x, mu, lam) rows as (xs, mus, lams) columns, _COLUMN_ROWS rows at a time."""
-    rows = iter(rows)
-    return iter(lambda: tuple(zip(*islice(rows, _COLUMN_ROWS))), ())
 
 
 def _first_violation(columns: Iterable[Columns], kind: Kind, eps: float) -> Optional[float]:
@@ -335,23 +325,25 @@ def _first_violation(columns: Iterable[Columns], kind: Kind, eps: float) -> Opti
 
 
 def kind_violation(p: PseudoTfn, grid: int, eps: float = DEFAULT_EPS) -> Optional[float]:
-    """First sampled x where p breaks its kind identity, or None.
+    """None: p's lam is derived from its mu (_lam), so no x breaks its kind identity.
 
-    Samples grid points over the default window, a chunk at a time.
+    Checks grid and the default window as sampling would, then eps; samples nothing.
     """
-    # a grid is not a set: rounding may repeat an x
-    rows = _sample(p, grid, *_default_window(p), "grid", ordered=False)
-    return _first_violation(_columns(rows), p.kind, _require_eps(eps))
+    _sample(p, grid, *_default_window(p), "grid")  # checks now; its rows are never read
+    _require_eps(eps)
+    return None
 
 
 def verify_kind(p: PseudoTfn, grid: int, eps: float = DEFAULT_EPS) -> bool:
-    """True iff the kind identity holds at every sampled point."""
+    """True iff the kind identity holds at every point of the grid."""
     return kind_violation(p, grid, eps) is None
 
 
 def set_kind_violation(
     dset: DiscretePseudoFuzzySet, kind: Kind, eps: float = DEFAULT_EPS
 ) -> Optional[float]:
-    """First x of a discrete set whose pair breaks the given kind rule."""
-    rows = ((e.x, e.pair.mu, e.pair.lam) for e in dset)
-    return _first_violation(_columns(rows), kind, _require_eps(eps))
+    """First x of a discrete set, or any iterable of elements, whose pair breaks the kind rule."""
+    kind, eps = _require_kind(kind), _require_eps(eps)
+    rows = [(e.x, e.pair.mu, e.pair.lam) for e in dset]  # one pass: dset may be an iterator
+    columns = tuple(zip(*rows)) or ((), (), ())  # no rows zip to no columns
+    return _first_violation([columns], kind, eps)

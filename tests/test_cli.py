@@ -350,10 +350,25 @@ def test_curve_rejects_repeated_x(argv, stdin, message):
 
 
 def test_verify_grid_may_repeat_x():
-    # the same grid, sampled for the kind check only, is not a set
+    # the grid of the kind check is never sampled, so it need not be a set
     result = run_cli(["verify", "-", "--grid", "101"], NEAR_1E16)
     assert result.returncode == 0
     assert result.stdout == b"ok\n"
+
+
+def test_verify_answers_at_the_largest_grid():
+    # lam is derived from mu, so verify checks the grid's count and samples none of it
+    result = run_cli(["verify", DEP, "--grid", str(2**53)], timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"ok\n", b"")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", TAMPERED, "--table"], b"error: --table requires --kind\n"),
+    (["verify", DEP, "--kind", "independent"], b"error: --kind requires --table\n"),
+], ids=["table_without_kind", "kind_without_table"])
+def test_verify_takes_table_and_kind_together(argv, message):
+    result = run_cli(argv)
+    assert (result.returncode, result.stdout, result.stderr) == (2, b"", message)
 
 
 # its default window, +-9e307, is finite, but not its width

@@ -7,6 +7,7 @@ import pytest
 
 from pseudofuzzy import (
     BadCount,
+    BadRange,
     BinaryOpCode,
     DocumentError,
     Interval,
@@ -130,14 +131,16 @@ HUGE = 10**5000  # more digits than str() converts by default
 HUGE_BITS = HUGE.bit_length()
 ADD = BinaryOpCode.ADD
 
-# (call, count, message): every library count is checked before it is used,
-# and the message of a count that repr() formats is what it always was
-def case(call, count, message, id):
-    return pytest.param(call, count, message, id=id)
+WIDE = PseudoTfn.dependent(-3e307, 0.0, 3e307)  # the width of its default window overflows
+
+
+def case(call, count, message, id, error=BadCount):
+    return pytest.param(call, count, message, error, id=id)
 
 
 # every library count is checked before it is used, and the message of a
-# count that repr() formats is what it always was
+# count that repr() formats is what it always was. kind_violation checks its
+# grid, then its window, then eps
 COUNT_CASES = [
     case(lambda n: discretize(P, n, 0.0, 1.0), math.nan,
          "need n >= 2 sample points, got nan", "discretize-nan"),
@@ -159,6 +162,12 @@ COUNT_CASES = [
     case(lambda n: kind_violation(P, n), HUGE,
          f"need grid <= 2**53 sample points, got an integer of {HUGE_BITS} bits",
          "kind_violation-huge"),
+    case(lambda n: kind_violation(P, n, eps=0), 1,
+         "need grid >= 2 sample points, got 1", "kind_violation-1-eps-0"),
+    case(lambda n: kind_violation(WIDE, n, eps=0), 101,
+         "window width xmax - xmin overflows, got "
+         "[-8.999999999999999e+307, 8.999999999999999e+307]", "kind_violation-wide-eps-0",
+         BadRange),
     case(lambda n: mul(P, P, n), math.nan, "need levels >= 2, got nan", "mul-nan"),
     case(lambda n: mul(P, P, n), HUGE,
          f"need levels <= 2**53, got an integer of {HUGE_BITS} bits", "mul-huge"),
@@ -180,9 +189,9 @@ COUNT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("call,count,message", COUNT_CASES)
-def test_a_bad_count_is_a_bad_count(call, count, message):
-    with pytest.raises(BadCount) as info:
+@pytest.mark.parametrize("call,count,message,error", COUNT_CASES)
+def test_a_bad_count_is_a_bad_count(call, count, message, error):
+    with pytest.raises(error) as info:
         call(count)
     assert str(info.value) == message
 

@@ -1,6 +1,7 @@
 """Randomized invariants, mostly via hypothesis."""
 
 import math
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from pseudofuzzy import (
     sub,
     validate_pair,
 )
+from pseudofuzzy import ptfn
 from pseudofuzzy.ptfn import _sample
 
 finite_mu = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -355,7 +357,25 @@ def test_grades_and_cuts_of_finite_triangles_are_finite(feet, kind, x, alpha):
 @given(wide, wide, st.integers(2, 300))
 def test_samples_of_a_finite_window_are_finite(xmin, xmax, n):
     assume(xmin < xmax and xmax - xmin < math.inf)
-    rows = _sample(PseudoTfn.dependent(0.0, 1.0, 2.0), n, xmin, xmax, ordered=False)
-    xs = [x for x, _, _ in rows]
+    bad_row = ptfn._bad_row
+
+    def let_x_repeat(i, prev, x, mu, lam):  # a window narrower than n floats repeats an x
+        if x != prev:
+            bad_row(i, prev, x, mu, lam)
+
+    with mock.patch.object(ptfn, "_bad_row", let_x_repeat):
+        xs = [x for x, _, _ in _sample(PseudoTfn.dependent(0.0, 1.0, 2.0), n, xmin, xmax)]
     assert xs[0] == xmin and xs[-1] == xmax and xs == sorted(xs)
     assert all(map(math.isfinite, xs))
+
+
+# the ends of [0, 1], -0.0, the least subnormal and a half, among other mus
+column_mus = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 0.5]), finite_mu)
+
+
+@given(kinds, st.lists(column_mus, max_size=50))
+def test_lams_is_lam_over_a_column(kind, mus):
+    # the kind checks hold lam against _lams, and every lam comes from _lam:
+    # the two agree bit for bit, signed zeros included
+    lams = [lam.hex() for lam in ptfn._lams(kind, mus)]
+    assert lams == [ptfn._lam(kind, mu).hex() for mu in mus]

@@ -269,6 +269,18 @@ class TestVerifyKind:
         rows = validate_set([(0, 0.0, -1.0), (1.5, 0.5, -0.6), (2, 0.0, -1.0)])
         assert set_kind_violation(rows, Kind.DEPENDENT) == 1.5
 
+    def test_set_kind_violation_reads_a_generator_as_the_set(self):
+        dep_profile = discretize(DEP, 21, -2, 4)
+        for kind in Kind:
+            x = set_kind_violation(dep_profile, kind)
+            assert set_kind_violation((e for e in dep_profile), kind) == x
+
+    def test_set_kind_violation_takes_only_a_kind(self):
+        # a str is not read as the kind it names, nor as independent
+        rows = validate_set([(0.0, 0.25, -0.75), (1.0, 0.5, -0.5)])
+        with pytest.raises(TypeError, match="^kind must be a Kind, got str$"):
+            set_kind_violation(rows, "dependent")
+
     def test_kind_violation_none_for_consistent_number(self):
         assert kind_violation(IND, 33) is None
 

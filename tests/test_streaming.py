@@ -459,6 +459,3 @@ def test_library_kind_checks_report_the_first_row(sample):
     for kind in Kind:
         assert set_kind_violation(dset, kind) == first_violation_by_rows(rows, kind)
     assert kind_violation(p, grid) is None
-    # kind_violation checks the rows that ptfn samples, however they come
-    with mock.patch.object(ptfn, "_sample_rows", lambda *args: iter(rows)):
-        assert kind_violation(p, grid) == first_violation_by_rows(rows, p.kind)

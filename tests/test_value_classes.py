@@ -96,6 +96,7 @@ def test_wrong_arity_or_unknown_keyword_is_a_type_error(cls, args, kwargs, text)
     (lambda: PseudoTfn(SHAPE, "dependent"), TypeError, "kind must be a Kind, got str"),
     (lambda: CutTable(ROWS[::-1], DEP), InvalidCutTable, "levels must start at 0 and end at 1"),
     (lambda: CutTable(ROWS[:1], DEP), InvalidCutTable, "need at least 2 rows, got 1"),
+    (lambda: CutTable(ROWS, 42), TypeError, "kind must be a Kind, got int"),
     (lambda: CutTable(((0.0, Interval(0, 1)), (1.0, Interval(2, 2))), DEP), InvalidCutTable,
      "row 1 not nested inside row 0"),
 ])
