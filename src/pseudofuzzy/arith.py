@@ -85,7 +85,12 @@ class CutTable(_Frozen):
         _set(self, "_values", (self.rows, kind))
 
     def __post_init__(self) -> None:
-        rows = tuple((float(alpha), interval) for alpha, interval in self.rows)
+        rows = tuple(self.rows)
+        for i, (_, interval) in enumerate(rows):
+            if not isinstance(interval, Interval):
+                found = type(interval).__name__
+                raise TypeError(f"row {i}: interval must be an Interval, got {found}")
+        rows = tuple((float(alpha), interval) for alpha, interval in rows)
         _set(self, "rows", rows)
         for _ in _nested_rows((alpha, interval.lo, interval.hi) for alpha, interval in rows):
             pass
@@ -168,9 +173,7 @@ def sub(p: PseudoTfn, q: PseudoTfn) -> PseudoTfn:
 
 def scale(p: PseudoTfn, k: float) -> PseudoTfn:
     """Multiply by a crisp constant; negative k reflects the triangle."""
-    k = float(k)
-    if not math.isfinite(k):
-        raise NonFinite(f"k must be finite, got {k!r}")
+    k = _require_finite("k", k)
     if k == 0.0:
         raise ZeroScale("scaling by 0 collapses the triangle to a point")
     feet = (k * p.a, k * p.b, k * p.c) if k > 0.0 else (k * p.c, k * p.b, k * p.a)
@@ -309,6 +312,8 @@ def extension_oracle(
     """
     import numpy as np
 
+    if not isinstance(op, BinaryOpCode):
+        raise TypeError(f"op must be a BinaryOpCode, got {type(op).__name__}")
     kind = _require_same_kind(p, q)
     grid = _require_count(grid_per_operand, 16, MAX_ORACLE_GRID, "grid_per_operand")
     if op is BinaryOpCode.DIV:

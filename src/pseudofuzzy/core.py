@@ -177,6 +177,8 @@ class DiscretePseudoFuzzySet(_Frozen):
         elements = tuple(elements)
         prev = -math.inf
         for i, e in enumerate(elements):
+            if not isinstance(e, PseudoFuzzyElement):
+                raise TypeError(f"element {i}: expected PseudoFuzzyElement, got {type(e).__name__}")
             if not e.x > prev:  # an element's x and pair are already checked
                 _bad_row(i, prev, e.x, e.pair.mu, e.pair.lam)
             prev = e.x

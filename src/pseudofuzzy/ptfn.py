@@ -313,15 +313,17 @@ def discretize(p: PseudoTfn, n: int, xmin: float, xmax: float) -> DiscretePseudo
 def _first_violation(columns: Iterable[Columns], kind: Kind, eps: float) -> Optional[float]:
     """x of the first row whose lam is off the kind identity by more than eps.
 
-    The rows come as (xs, mus, lams) columns. eps is not checked here.
-    Columns after the one holding that row are left unread.
+    The rows come as (xs, mus, lams) columns. Every column is read, also
+    those after that row's, so a reader that checks its rows as it yields
+    them, such as the CLI's curve reader, checks them all. eps is not
+    checked here.
     """
+    first = None
     for xs, mus, lams in columns:
-        off = map(abs, map(sub, lams, _lams(kind, mus)))
-        x = next(compress(xs, map(lt, repeat(eps), off)), None)
-        if x is not None:
-            return x
-    return None
+        if first is None:
+            off = map(abs, map(sub, lams, _lams(kind, mus)))
+            first = next(compress(xs, map(lt, repeat(eps), off)), None)
+    return first
 
 
 def kind_violation(p: PseudoTfn, grid: int, eps: float = DEFAULT_EPS) -> Optional[float]:
@@ -332,11 +334,6 @@ def kind_violation(p: PseudoTfn, grid: int, eps: float = DEFAULT_EPS) -> Optiona
     _sample(p, grid, *_default_window(p), "grid")  # checks now; its rows are never read
     _require_eps(eps)
     return None
-
-
-def verify_kind(p: PseudoTfn, grid: int, eps: float = DEFAULT_EPS) -> bool:
-    """True iff the kind identity holds at every point of the grid."""
-    return kind_violation(p, grid, eps) is None
 
 
 def set_kind_violation(

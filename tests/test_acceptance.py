@@ -341,7 +341,7 @@ def test_criterion_7_cli_contract():
             None,
             b"# kind=dependent\nalpha,lo,hi\n0,1,5\n0.5,2,4\n1,3,3\n",
         ),
-        (["verify", dep, "--grid", "101"], None, b"ok\n"),
+        (["verify", dep], None, b"ok\n"),
     ]
     for argv, stdin, expected in expectations:
         result = run_cli(argv, stdin)

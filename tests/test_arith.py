@@ -90,7 +90,7 @@ class TestScale:
             scale(DEP, 0)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NonFinite):
+        with pytest.raises(NonFinite, match=r"^k must be finite, got inf$"):
             scale(DEP, math.inf)
 
     def test_round_trip(self):

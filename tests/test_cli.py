@@ -46,8 +46,8 @@ GOLDEN_CASES = [
     ("arith_sub", ["arith", "sub", DEP2, DEP, "--levels", "3"], None),
     ("arith_mul", ["arith", "mul", DEP, DEP, "--levels", "3"], None),
     ("arith_div", ["arith", "div", DEP2, DIVQ, "--levels", "3"], None),
-    ("verify_dep", ["verify", DEP, "--grid", "101"], None),
-    ("verify_ind", ["verify", IND, "--grid", "101"], None),
+    ("verify_dep", ["verify", DEP], None),
+    ("verify_ind", ["verify", IND], None),
     ("verify_tampered", ["verify", TAMPERED, "--table", "--kind", "dependent"], None),
 ]
 
@@ -74,13 +74,16 @@ ERROR_CASES = [
     (["classify", "0.3", "0.3"], None, 3),
     (["classify", "0.3", "-0.4", "--eps", "0"], None, 3),
     (["arith", "add", DEP, DEP2, "--levels", "1"], None, 3),
-    (["verify", DEP, "--grid", "1"], None, 3),
+    (["verify", DEP, "--eps", "0"], None, 3),
     (["arith", "add", DEP, IND], None, 4),
     (["arith", "mul", IND, DEP], None, 4),
     (["arith", "div", DEP2, STRADDLE], None, 5),
     (["arith", "div", DEP2, DEP], None, 5),
     (["eval", "-", "1"], '{"a":0,"b":1,"c":2,"kind":"dependent","a":0.5}', 2),
     (["eval", str(DATA / "not_utf8.json"), "1"], None, 2),
+    # verify has no --grid: a number is never sampled, and a table brings its own rows
+    (["verify", DEP, "--grid", "101"], None, 2),
+    (["verify", TAMPERED, "--table", "--kind", "dependent", "--grid", "1"], None, 2),
 ]
 
 # negative numbers in exponent form are values, not option flags
@@ -177,7 +180,6 @@ def test_closed_stdout_descriptor_exits_2(argv):
 @pytest.mark.parametrize("count", [str(2**53 + 1), str(10**400)], ids=["2**53+1", "10**400"])
 @pytest.mark.parametrize("argv, message", [
     (["curve", DEP, "--n"], "need n <= 2**53 sample points"),
-    (["verify", DEP, "--grid"], "need grid <= 2**53 sample points"),
     (["arith", "mul", DEP, DEP2, "--levels"], "need levels <= 2**53"),
 ])
 def test_counts_beyond_float_precision_are_bad_counts(argv, message, count):
@@ -350,16 +352,10 @@ def test_curve_rejects_repeated_x(argv, stdin, message):
 
 
 def test_verify_grid_may_repeat_x():
-    # the grid of the kind check is never sampled, so it need not be a set
-    result = run_cli(["verify", "-", "--grid", "101"], NEAR_1E16)
+    # verify samples no grid, so a number whose default grid repeats x passes
+    result = run_cli(["verify", "-"], NEAR_1E16)
     assert result.returncode == 0
     assert result.stdout == b"ok\n"
-
-
-def test_verify_answers_at_the_largest_grid():
-    # lam is derived from mu, so verify checks the grid's count and samples none of it
-    result = run_cli(["verify", DEP, "--grid", str(2**53)], timeout=10)
-    assert (result.returncode, result.stdout, result.stderr) == (0, b"ok\n", b"")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -380,11 +376,16 @@ WIDE_RANGE = b"window width xmax - xmin overflows, got [-8.999999999999999e+307,
     (["curve", DEP, "--xmin", "-1e308", "--xmax", "1e308"], None,
      b"window width xmax - xmin overflows, got [-1e+308, 1e+308]"),
     (["curve", "-"], WIDE, WIDE_RANGE),
-    (["verify", "-"], WIDE, WIDE_RANGE),
-], ids=["curve_window", "curve_default_window", "verify"])
+], ids=["curve_window", "curve_default_window"])
 def test_overflowing_window_width_is_a_bad_range(argv, stdin, message):
     result = run_cli(argv, stdin)
     assert (result.returncode, result.stdout, result.stderr) == (3, b"", b"error: " + message + b"\n")
+
+
+def test_verify_answers_for_an_overflowing_window():
+    # verify samples no window, so one whose width overflows is no error
+    result = run_cli(["verify", "-"], WIDE)
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"ok\n", b"")
 
 
 @pytest.mark.parametrize("argv,stdout", [

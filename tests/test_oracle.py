@@ -70,6 +70,11 @@ class TestOracleDirect:
         with pytest.raises(DivisorStraddlesZero):
             extension_oracle(DEP2, PseudoTfn.dependent(-1, 0, 1), BinaryOpCode.DIV, 64, 5)
 
+    def test_op_must_be_an_op_code(self):
+        # a str is not read as the operation it names, even by a divisor that straddles zero
+        with pytest.raises(TypeError, match="^op must be a BinaryOpCode, got str$"):
+            extension_oracle(DEP2, PseudoTfn.dependent(-1, 0, 1), "div", 64, 5)
+
 
 class TestOracleAgreement:
     def test_add_matches_closed_form(self):

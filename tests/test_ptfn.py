@@ -30,7 +30,6 @@ from pseudofuzzy import (
     parametric_point,
     set_kind_violation,
     validate_set,
-    verify_kind,
 )
 
 DEP = PseudoTfn.dependent(0, 1, 2)
@@ -247,12 +246,6 @@ class TestDiscretize:
 
 
 class TestVerifyKind:
-    def test_dependent_ok(self):
-        assert verify_kind(DEP, 101)
-
-    def test_independent_ok(self):
-        assert verify_kind(IND, 101)
-
     def test_violation_for_mismatched_rule(self):
         # a dependent profile checked against the independent rule breaks
         # outside the support, where (mu, lam) = (0, -1)
@@ -292,7 +285,3 @@ class TestVerifyKind:
         # the default window is about +-9e307, whose width overflows
         with pytest.raises(BadRange, match="width xmax - xmin overflows"):
             kind_violation(PseudoTfn.dependent(-3e307, 0.0, 3e307), 101)
-
-    def test_grid_too_small(self):
-        with pytest.raises(BadCount):
-            verify_kind(DEP, 1)

@@ -88,6 +88,8 @@ def test_wrong_arity_or_unknown_keyword_is_a_type_error(cls, args, kwargs, text)
      "pair must be a MembershipPair, got tuple"),
     (lambda: DiscretePseudoFuzzySet((ELEMENT, PseudoFuzzyElement(0.0, PAIR))), UnsortedSupport,
      "support not increasing at index 1: 0.0 < 0.5"),
+    (lambda: DiscretePseudoFuzzySet([(0, 0.5, -0.5)]), TypeError,
+     "element 0: expected PseudoFuzzyElement, got tuple"),
     (lambda: TriangleShape(2, 1, 0), InvalidShape, "need a <= b <= c, got (2.0, 1.0, 0.0)"),
     (lambda: TriangleShape(1, 1, 1), InvalidShape, "zero-width triangle a == c == 1.0"),
     (lambda: TriangleShape(0, 1, float("inf")), NonFinite, "c must be finite, got inf"),
@@ -97,6 +99,8 @@ def test_wrong_arity_or_unknown_keyword_is_a_type_error(cls, args, kwargs, text)
     (lambda: CutTable(ROWS[::-1], DEP), InvalidCutTable, "levels must start at 0 and end at 1"),
     (lambda: CutTable(ROWS[:1], DEP), InvalidCutTable, "need at least 2 rows, got 1"),
     (lambda: CutTable(ROWS, 42), TypeError, "kind must be a Kind, got int"),
+    (lambda: CutTable([(0.0, (1, 2)), (1.0, (1, 2))], DEP), TypeError,
+     "row 0: interval must be an Interval, got tuple"),
     (lambda: CutTable(((0.0, Interval(0, 1)), (1.0, Interval(2, 2))), DEP), InvalidCutTable,
      "row 1 not nested inside row 0"),
 ])
