@@ -4,10 +4,11 @@ Addition, subtraction, and scaling stay triangular, so they return a new
 PseudoTfn with the closed-form shape. Products and quotients of triangles
 are not triangular; mul and div therefore return a CutTable: interval
 endpoints tabulated at equally spaced levels in [0, 1]. A table is
-computed as a stream of (alpha, lo, hi) float rows, by one loop per table
-that calls the cut kernel and checks each row inline: cut_table, mul and
-div collect the stream into a CutTable, and the CLI writes it out as it
-comes. _nested_rows holds the rules of a table for both.
+computed as (alpha, lo, hi) float rows, by one loop per table that calls
+the cut kernel and checks each row inline, from any row to any other:
+cut_table, mul and div collect all rows into a CutTable, and the CLI
+writes them a chunk at a time. _nested_rows holds the rules of a table
+for both.
 
 All positive-membership machinery is kind-agnostic; the negative grade of
 any result is recovered from the kind identity (lam = mu - 1 dependent,
@@ -51,6 +52,8 @@ if TYPE_CHECKING:
 
     import numpy as np
 
+    from .ptfn import RowsOf
+
 DEFAULT_LEVELS = 11
 DEFAULT_ORACLE_GRID = 256
 # the oracle holds about four (grid + 2)**2 float64 arrays: 0.53 GB traced at this bound
@@ -86,7 +89,12 @@ class CutTable(_Frozen):
 
     def __post_init__(self) -> None:
         rows = tuple(self.rows)
-        for i, (_, interval) in enumerate(rows):
+        for i, row in enumerate(rows):
+            size = len(row) if hasattr(row, "__len__") else None
+            if size != 2:
+                found = type(row).__name__ if size is None else f"{size} values"
+                raise TypeError(f"row {i}: expected an (alpha, Interval) pair, got {found}")
+            _, interval = row
             if not isinstance(interval, Interval):
                 found = type(interval).__name__
                 raise TypeError(f"row {i}: interval must be an Interval, got {found}")
@@ -104,14 +112,20 @@ class CutTable(_Frozen):
         return self.rows[0][1]
 
 
-def _nested_rows(rows: Iterable[Row]) -> Iterator[Row]:
+def _nested_rows(rows: Iterable[Row], start: int = 0, end: bool = True) -> Iterator[Row]:
     """Pass (alpha, lo, hi) rows through, checking the rules of a CutTable.
 
     Levels start at 0, rise strictly and end at 1; each row nests inside
-    the one before it. A row is checked before it is passed on; the row
-    count and the last level once the rows run out.
+    the one before it. A row is checked before it is passed on. The rows
+    are a table's from row start on; past row 0 they begin with row
+    start - 1, which seeds the checks and is not passed on. If end, they
+    run to the table's end, and the row count and the last level are
+    checked once they run out.
     """
-    count = 0
+    rows = iter(rows)
+    count = start
+    if start:
+        last, outer_lo, outer_hi = next(rows)
     for alpha, lo, hi in rows:
         if count == 0:
             if alpha != 0.0:
@@ -127,10 +141,20 @@ def _nested_rows(rows: Iterable[Row]) -> Iterator[Row]:
         yield alpha, lo, hi
         last, outer_lo, outer_hi = alpha, lo, hi
         count += 1
+    if not end:
+        return
     if count < 2:
         raise InvalidCutTable(f"need at least 2 rows, got {count}")
     if last != 1.0:
         raise InvalidCutTable("levels must start at 0 and end at 1")
+
+
+def _nested(rows_of: RowsOf, count: int) -> RowsOf:
+    """rows_of of a table of count rows, each row checked by _nested_rows."""
+    # row start - 1, computed again, seeds the checks of row start
+    return lambda start, stop: _nested_rows(
+        rows_of(max(start - 1, 0), stop), start, stop == count
+    )
 
 
 def _require_same_kind(p: PseudoTfn, q: PseudoTfn) -> Kind:
@@ -204,15 +228,23 @@ def _overflow(op: str, alpha: float, p: PseudoTfn, q: Optional[PseudoTfn] = None
     raise NonFinite(f"{op} overflows at alpha={alpha!r}: {reason}")
 
 
-def _table(rows: Iterable[Row], kind: Kind) -> CutTable:
-    return CutTable(tuple((alpha, Interval(lo, hi)) for alpha, lo, hi in rows), kind)
+def _table(rows_of: RowsOf, count: int, kind: Kind) -> CutTable:
+    return CutTable(tuple((alpha, Interval(lo, hi)) for alpha, lo, hi in rows_of(0, count)), kind)
 
 
-def _cut_rows(p: PseudoTfn, levels: int) -> Iterator[Row]:
-    """Yield (alpha, lo, hi): the alpha-cuts of p at levels equally spaced levels."""
+def _cuts(p: PseudoTfn, levels: int) -> tuple[RowsOf, int]:
+    """Check now; return (rows_of, levels) for the alpha-cuts of p at levels equally spaced levels.
+
+    rows_of(start, stop) yields the (alpha, lo, hi) rows start to stop - 1.
+    """
     last = _last_level(levels)
+    return (lambda start, stop: _cut_rows(p, last, start, stop)), last + 1
+
+
+def _cut_rows(p: PseudoTfn, last: int, start: int, stop: int) -> Iterator[Row]:
+    """Yield (alpha, lo, hi): the alpha-cuts of p at levels j / last, j from start to stop - 1."""
     a, b, c, inf = p.a, p.b, p.c, math.inf
-    for j in range(last + 1):
+    for j in range(start, stop):
         alpha = j / last
         lo, hi = _cut(a, b, c, alpha)
         if not -inf < lo <= hi < inf:
@@ -220,19 +252,31 @@ def _cut_rows(p: PseudoTfn, levels: int) -> Iterator[Row]:
         yield alpha, lo, hi
 
 
-def _product_rows(op: str, p: PseudoTfn, q: PseudoTfn, levels: int) -> Iterator[Row]:
-    """Yield (alpha, lo, hi) at levels equally spaced levels: the extremes of
-    the four endpoint products of p's cut and q's (mul) or its reciprocal (div).
+def _products(op: str, p: PseudoTfn, q: PseudoTfn, levels: int) -> tuple[RowsOf, int]:
+    """Check now; return (rows_of, levels) for the cuts of p * q (mul) or p / q (div)
+    at levels equally spaced levels.
+
+    rows_of(start, stop) yields the (alpha, lo, hi) rows start to stop - 1.
+    """
+    _require_same_kind(p, q)
+    if op == "div":
+        _check_divisor(q)
+    last = _last_level(levels)
+    return (lambda start, stop: _product_rows(op, p, q, last, start, stop)), last + 1
+
+
+def _product_rows(
+    op: str, p: PseudoTfn, q: PseudoTfn, last: int, start: int, stop: int
+) -> Iterator[Row]:
+    """Yield (alpha, lo, hi) at levels j / last, j from start to stop - 1: the
+    extremes of the four endpoint products of p's cut and q's (mul) or its
+    reciprocal (div).
 
     A divisor's feet share a sign, so its cuts are finite and not 0.
     """
-    _require_same_kind(p, q)
     div, inf = op == "div", math.inf
-    if div:
-        _check_divisor(q)
-    last = _last_level(levels)
     pa, pb, pc, qa, qb, qc = p.a, p.b, p.c, q.a, q.b, q.c
-    for j in range(last + 1):
+    for j in range(start, stop):
         alpha = j / last
         ulo, uhi = _cut(pa, pb, pc, alpha)
         vlo, vhi = _cut(qa, qb, qc, alpha)
@@ -253,17 +297,17 @@ def _product_rows(op: str, p: PseudoTfn, q: PseudoTfn, levels: int) -> Iterator[
 
 def cut_table(p: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
     """Tabulate the alpha-cuts of a PTFN at equally spaced levels."""
-    return _table(_cut_rows(p, levels), p.kind)
+    return _table(*_cuts(p, levels), p.kind)
 
 
 def mul(p: PseudoTfn, q: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
     """Per-level interval product: extremes of the four endpoint products."""
-    return _table(_product_rows("mul", p, q, levels), p.kind)
+    return _table(*_products("mul", p, q, levels), p.kind)
 
 
 def div(p: PseudoTfn, q: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:
     """Per-level interval quotient: product with the reciprocal interval."""
-    return _table(_product_rows("div", p, q, levels), p.kind)
+    return _table(*_products("div", p, q, levels), p.kind)
 
 
 def __getattr__(name: str):

@@ -6,8 +6,11 @@ exactly the fields a, b, c (numbers) and kind ("dependent" or
 standard input when the path is "-", as bytes. verify --table reads a
 curve CSV a block of lines at a time, as (xs, mus, lams) columns that
 ptfn's one kind checker takes as they come. Each command returns its
-output as a head and rows, and main writes both with _write_rows, the only
-code here that writes standard output.
+output as a head, rows_of and a row count, and main writes them with
+_write_rows, the only code here that writes standard output. rows_of
+computes any run of rows, so a large table is written a chunk at a time
+by two processes on two CPUs: this one the even chunks, a forked child
+the odd ones, taking turns, with the output and errors of one process.
 
 Exit codes: 0 success, 2 parse/format/I-O error, 3 domain error, 4 kind
 mismatch, 5 divisor straddles zero.
@@ -21,7 +24,7 @@ import math
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, islice, repeat
 from operator import add, ge, le, lt
 
@@ -59,7 +62,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import NoReturn
 
-    from .ptfn import Columns
+    from .ptfn import Columns, RowsOf
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -90,8 +93,11 @@ _BLOCK_BYTES = 1 << 14
 # the UTF-8 of each line break of str.splitlines(): a match starts on a
 # character, and takes a "\r\n" pair whole
 _LINE_BREAK = re.compile(rb"\r\n?|[\n\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
-# what a command returns, for main to write: a head and three-value rows
-_Output = tuple[str, Iterable[Sequence[float]]]
+# tables of this many chunks or more are written by two processes
+_FORK_CHUNKS = 4
+# what a command returns, for main to write: a head, rows_of and the row
+# count, where rows_of(start, stop) yields the three-value rows start to stop - 1
+_Output = tuple[str, "RowsOf", int]
 
 
 def _fmt(value: float) -> str:
@@ -99,26 +105,134 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.12g}"
 
 
-def _write_rows(head: str, rows: Iterable[Sequence[float]]) -> None:
+def _given(head: str, *rows: Sequence[float]) -> _Output:
+    """The output of a command whose rows, if any, are in hand."""
+    return head, lambda start, stop: rows[start:stop], len(rows)
+
+
+def _write_rows(head: str, rows_of: RowsOf, count: int) -> None:
     """Write head, then each three-value row as a CSV line, _CHUNK_ROWS rows per write.
 
     Values are formatted as _fmt does, a chunk at a time. A chunk is
     computed, and so checked, in full before it is written: an error in
     the first chunk leaves stdout empty; a later one leaves the chunks
-    before it written.
+    before it written. A table of _FORK_CHUNKS chunks or more is written
+    by two processes when there are two CPUs (see _write_forked), with
+    the same output, errors and partial output.
     """
-    rows = iter(rows)
-    while True:
+    chunks = max(-(-count // _CHUNK_ROWS), 1)  # one at least, for the head
+
+    def text_of(k: int) -> str:
+        start = k * _CHUNK_ROWS
+        rows = rows_of(start, min(start + _CHUNK_ROWS, count))
         # + 0.0 folds -0.0, as in _fmt
-        values = tuple(map(add, chain.from_iterable(islice(rows, _CHUNK_ROWS)), repeat(0.0)))
-        count = len(values) // 3
-        text = head + (_CHUNK if count == _CHUNK_ROWS else _ROW * count) % values
-        if sys.stdout is None:  # started with descriptor 1 closed
-            raise OSError("stdout is closed")
-        sys.stdout.write(text)  # looked up per call: callers may swap sys.stdout
-        if count < _CHUNK_ROWS:
+        values = tuple(map(add, chain.from_iterable(rows), repeat(0.0)))
+        size = len(values) // 3
+        return ("" if k else head) + (_CHUNK if size == _CHUNK_ROWS else _ROW * size) % values
+
+    # a stream a caller swapped in is written by this process alone
+    real_stdout = sys.stdout is not None and sys.stdout is sys.__stdout__
+    if chunks >= _FORK_CHUNKS and real_stdout and _two_cpus():
+        _write_forked(text_of, chunks)
+    else:
+        _write_chunks(text_of, 0, chunks)
+
+
+def _two_cpus() -> bool:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
+
+
+def _write(text: str) -> None:
+    if sys.stdout is None:  # started with descriptor 1 closed
+        raise OSError("stdout is closed")
+    sys.stdout.write(text)  # looked up per call: callers may swap sys.stdout
+
+
+def _write_chunks(text_of: Callable[[int], str], first: int, chunks: int) -> None:
+    for k in range(first, chunks):
+        _write(text_of(k))
+
+
+def _write_forked(text_of: Callable[[int], str], chunks: int) -> None:
+    """Write chunks 0 to chunks - 1 of text_of in order, the odd ones from a forked child.
+
+    Each process computes its next chunk while the other writes, then
+    waits for its turn, passed by one byte on a pipe: the parent sends "t"
+    once it has written its chunk; the child answers "t" once it has
+    written its own, or "x" if it could not, and stops. The parent writes
+    a chunk the child did not, and the rest itself, and raises the error
+    of a chunk only once the chunks before it are written: output and
+    errors are those of _write_chunks in one process.
+    """
+    sys.stdout.flush()  # the child's copy of the buffer starts empty
+    fds = []
+    try:
+        fds += os.pipe()  # the turn, parent to child
+        fds += os.pipe()  # the answer, child to parent
+        pid = os.fork()
+    except OSError:  # no descriptor or process to spare: one process writes it all
+        for fd in fds:
+            os.close(fd)
+        _write_chunks(text_of, 0, chunks)
+        return
+    turn_r, turn_w, ack_r, ack_w = fds
+    if pid == 0:
+        try:
+            os.close(turn_w)
+            os.close(ack_r)
+            _write_odd_chunks(text_of, chunks, turn_r, ack_w)
+        finally:
+            os._exit(0)  # no cleanup and no flush: the parent owns the exit
+    os.close(turn_r)
+    os.close(ack_w)
+    try:
+        for k in range(0, chunks + 1, 2):  # one past the last chunk, to wait for the child's
+            error = None
+            try:
+                text = text_of(k) if k < chunks else ""
+            except Exception as exc:  # raised only once chunk k - 1 is written
+                error = exc
+            if k and os.read(ack_r, 1) != b"t":  # "x", or the end of a pipe the child left
+                _write_chunks(text_of, k - 1, chunks)  # the child did not write chunk k - 1
+                return
+            if error is not None:
+                raise error
+            if k == chunks:
+                return
+            _write(text)
+            if k + 1 < chunks:
+                sys.stdout.flush()
+                try:
+                    os.write(turn_w, b"t")
+                except OSError:  # the child is gone; reading its answer tells
+                    pass
+    finally:
+        os.close(turn_w)
+        os.close(ack_r)
+        os.waitpid(pid, 0)
+
+
+def _write_odd_chunks(text_of: Callable[[int], str], chunks: int, turn: int, ack: int) -> None:
+    """The loop of _write_forked's child: chunks 1, 3, 5... each written in its turn."""
+    for k in range(1, chunks, 2):
+        try:
+            text = text_of(k)
+        except Exception:  # held: the parent computes the chunk again and raises the error
+            text = None
+        if os.read(turn, 1) != b"t":  # the parent stopped
             return
-        head = ""
+        answer = b"x"
+        if text is not None:
+            try:
+                _write(text)
+                sys.stdout.flush()
+                answer = b"t"
+            except OSError:  # the parent writes the chunk again and reports the error
+                pass
+        os.write(ack, answer)
+        if answer != b"t":
+            return
 
 
 def _unique_fields(pairs: list[tuple[str, object]]) -> dict[str, object]:
@@ -291,7 +405,7 @@ def _bad_curve_line(lines: list[str], offset: int, prev: float) -> NoReturn:
 def cmd_eval(args: argparse.Namespace) -> _Output:
     p = _load_ptfn(args.ptfn)
     pair = pair_at(p, args.x)
-    return "", [(args.x, pair.mu, pair.lam)]
+    return _given("", (args.x, pair.mu, pair.lam))
 
 
 def cmd_curve(args: argparse.Namespace) -> _Output:
@@ -299,12 +413,12 @@ def cmd_curve(args: argparse.Namespace) -> _Output:
     lo, hi = _default_window(p)
     xmin = lo if args.xmin is None else args.xmin
     xmax = hi if args.xmax is None else args.xmax
-    return _CURVE_HEADER + "\n", _sample(p, args.n, xmin, xmax)
+    return _CURVE_HEADER + "\n", *_sample(p, args.n, xmin, xmax)
 
 
 def cmd_classify(args: argparse.Namespace) -> _Output:
     pair = validate_pair(args.mu, args.lam)
-    return classify_case(pair, args.eps).name + "\n", ()
+    return _given(classify_case(pair, args.eps).name + "\n")
 
 
 def cmd_cut(args: argparse.Namespace) -> _Output:
@@ -313,7 +427,7 @@ def cmd_cut(args: argparse.Namespace) -> _Output:
         interval = alpha_cut_mu(p, args.level)
     else:
         interval = beta_cut_lambda(p, args.level)
-    return f"{_fmt(interval.lo)},{_fmt(interval.hi)}\n", ()
+    return _given(f"{_fmt(interval.lo)},{_fmt(interval.hi)}\n")
 
 
 def cmd_arith(args: argparse.Namespace) -> _Output:
@@ -322,11 +436,11 @@ def cmd_arith(args: argparse.Namespace) -> _Output:
     p = _load_ptfn(args.ptfn1)
     q = _load_ptfn(args.ptfn2)
     if args.op in ("add", "sub"):
-        rows = arith._cut_rows(getattr(arith, args.op)(p, q), args.levels)
+        rows_of, count = arith._cuts(getattr(arith, args.op)(p, q), args.levels)
     else:
-        rows = arith._product_rows(args.op, p, q, args.levels)
+        rows_of, count = arith._products(args.op, p, q, args.levels)
     # each operation has checked that p and q share the kind of the result
-    return f"# kind={p.kind.value}\nalpha,lo,hi\n", arith._nested_rows(rows)
+    return f"# kind={p.kind.value}\nalpha,lo,hi\n", arith._nested(rows_of, count), count
 
 
 def cmd_verify(args: argparse.Namespace) -> _Output:
@@ -342,7 +456,7 @@ def cmd_verify(args: argparse.Namespace) -> _Output:
         _load_ptfn(args.input)
         violation = None
     _require_eps(args.eps)  # after the input, whose defects take precedence
-    return ("ok" if violation is None else f"violation at x={_fmt(violation)}") + "\n", ()
+    return _given(("ok" if violation is None else f"violation at x={_fmt(violation)}") + "\n")
 
 
 class _Parser(argparse.ArgumentParser):

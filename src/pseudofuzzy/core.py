@@ -37,7 +37,10 @@ DEFAULT_EPS = 1e-9
 
 
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):  # float() takes numbers and numeric strings only
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}") from None
     if not math.isfinite(value):
         raise NonFinite(f"{name} must be finite, got {value!r}")
     return value
@@ -236,23 +239,25 @@ def _as_element(item: ElementLike, index: int) -> PseudoFuzzyElement:
         return item
     try:
         if len(item) == 3:
-            x, mu, lam = item
-            pair = validate_pair(mu, lam)
+            x, *grades = item
         elif len(item) == 2:
             x, grades = item
-            if isinstance(grades, MembershipPair):
-                pair = grades
-            else:
-                pair = validate_pair(*grades)
         else:
             raise TypeError
-    except (TypeError, IndexError):
+        if not isinstance(grades, MembershipPair):
+            mu, lam = grades
+    except (TypeError, ValueError, IndexError):  # not a sequence, or one of the wrong length
         raise TypeError(
             f"element {index}: expected PseudoFuzzyElement, (x, mu, lam) or (x, pair)"
         ) from None
-    except (MuOutOfRange, LambdaOutOfRange, NonFinite) as exc:
+    try:
+        pair = grades if isinstance(grades, MembershipPair) else validate_pair(mu, lam)
+    except (MuOutOfRange, LambdaOutOfRange, NonFinite, TypeError) as exc:
         raise type(exc)(f"element {index}: {exc}") from None
-    return PseudoFuzzyElement(float(x), pair)
+    try:
+        return PseudoFuzzyElement(x, pair)
+    except TypeError as exc:  # x is not a number; a non-finite x keeps its own message
+        raise TypeError(f"element {index}: {exc}") from None
 
 
 def _bad_row(index: int, prev: float, x: float, mu: float, lam: float) -> NoReturn:

@@ -54,9 +54,11 @@ from .errors import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable, Iterator, Optional, Sequence
+    from typing import Callable, Iterable, Iterator, Optional, Sequence
 
     Columns = tuple[Sequence[float], Sequence[float], Sequence[float]]  # xs, mus, lams
+    # rows_of(start, stop) yields the rows start to stop - 1 of a table
+    RowsOf = Callable[[int, int], Iterable[Sequence[float]]]
 
 
 class Kind(enum.Enum):
@@ -270,11 +272,13 @@ def _default_window(p: PseudoTfn) -> tuple[float, float]:
     return p.a - width, p.c + width
 
 
-def _sample(p: PseudoTfn, n: int, xmin: float, xmax: float, count: str = "n") -> Iterator:
-    """Check now; later yield (x, mu, lam) at n even steps over [xmin, xmax].
+def _sample(
+    p: PseudoTfn, n: int, xmin: float, xmax: float, count: str = "n"
+) -> tuple[RowsOf, int]:
+    """Check now; return (rows_of, n) for the n rows (x, mu, lam) at even steps over [xmin, xmax].
 
-    Each row passes core's one row check, made inline (x after the
-    previous row's x); core._bad_row explains a row that fails it.
+    rows_of(start, stop) yields the rows start to stop - 1, so the rows can
+    be computed a chunk at a time, in any order.
     """
     n = _require_count(n, 2, _MAX_COUNT, count, " sample points")
     xmin = _require_finite("xmin", xmin)
@@ -283,16 +287,23 @@ def _sample(p: PseudoTfn, n: int, xmin: float, xmax: float, count: str = "n") ->
         raise BadRange(f"need xmin < xmax, got [{xmin!r}, {xmax!r}]")
     if xmax - xmin == math.inf:
         raise BadRange(f"window width xmax - xmin overflows, got [{xmin!r}, {xmax!r}]")
-    return _sample_rows(p, n, xmin, xmax)
+    return (lambda start, stop: _sample_rows(p, n, xmin, xmax, start, stop)), n
 
 
-def _sample_rows(p: PseudoTfn, n: int, xmin: float, xmax: float) -> Iterator:
+def _sample_rows(p: PseudoTfn, n: int, xmin: float, xmax: float, start: int, stop: int) -> Iterator:
+    """Yield the rows start to stop - 1 of _sample's n rows.
+
+    Each row passes core's one row check, made inline (x after the
+    previous row's x); core._bad_row explains a row that fails it.
+    """
     a, b, c, kind, inf = p.a, p.b, p.c, p.kind, math.inf
-    span, last, prev = xmax - xmin, n - 1, -inf
+    span, last = xmax - xmin, n - 1
     # 1.0 changes no bits; past the float range, a power of two keeps i * step finite
     scale = 1.0 if span * last < inf else 2.0 ** last.bit_length()
     step = span / scale
-    for i in range(n):
+    # the x of row start - 1, by the formula of the loop, which takes it for i < last
+    prev = xmin + ((start - 1) * step) / last * scale if start else -inf
+    for i in range(start, stop):
         x = xmin + (i * step) / last * scale if i < last else xmax
         mu = _mu(a, b, c, x)
         lam = _lam(kind, mu)
@@ -304,9 +315,9 @@ def _sample_rows(p: PseudoTfn, n: int, xmin: float, xmax: float) -> Iterator:
 
 def discretize(p: PseudoTfn, n: int, xmin: float, xmax: float) -> DiscretePseudoFuzzySet:
     """Sample both grades at n equally spaced points of [xmin, xmax]."""
-    rows = _sample(p, n, xmin, xmax)
+    rows_of, n = _sample(p, n, xmin, xmax)
     return DiscretePseudoFuzzySet(
-        tuple(PseudoFuzzyElement(x, MembershipPair(mu, lam)) for x, mu, lam in rows)
+        tuple(PseudoFuzzyElement(x, MembershipPair(mu, lam)) for x, mu, lam in rows_of(0, n))
     )
 
 

@@ -93,6 +93,11 @@ class TestScale:
         with pytest.raises(NonFinite, match=r"^k must be finite, got inf$"):
             scale(DEP, math.inf)
 
+    def test_k_must_be_a_number(self):
+        with pytest.raises(TypeError, match=r"^k must be a real number, got str$"):
+            scale(DEP, "x")
+        assert scale(DEP, "2") == scale(DEP, 2)  # a string float() takes is a number
+
     def test_round_trip(self):
         for k in (3.0, -0.7, 0.125):
             r = scale(scale(DEP2, k), 1 / k)
@@ -233,6 +238,10 @@ class TestCutTable:
 
 
 class TestLambdaOfResult:
+    def test_x_must_be_a_number(self):
+        with pytest.raises(TypeError, match=r"^x must be a real number, got str$"):
+            lambda_of_result(cut_table(DEP2, 5), "x")
+
     def test_far_outside_dependent(self):
         table = cut_table(DEP2, 5)
         assert lambda_of_result(table, 1e6) == MembershipPair(0.0, -1.0)

@@ -286,7 +286,10 @@ def test_cli_import_leaves_out_costly_modules():
 
         assert cli.main(["classify", "0.3", "-0.4"]) == 0
         assert cli.main(["arith", "mul", {DEP!r}, {DEP2!r}, "--levels", "3"]) == 0
-        print(sorted({{"dataclasses", "inspect", "typing", "numpy"}} & set(sys.modules)))
+        assert cli.main(["curve", {DEP!r}, "--n", "20000"]) == 0  # written by two processes
+        costly = {{"dataclasses", "inspect", "typing", "numpy",
+                  "multiprocessing", "concurrent", "subprocess", "threading"}}
+        print(sorted(costly & set(sys.modules)))
         """
     )
     result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True)

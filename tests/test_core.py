@@ -156,3 +156,17 @@ class TestValidateSet:
     def test_non_finite_x(self):
         with pytest.raises(NonFinite):
             validate_set([(math.nan, 0.2, -0.2)])
+
+    @pytest.mark.parametrize("elements, message", [
+        ([(0, "a", -0.5)], "element 0: mu must be a real number, got str"),
+        ([(0, 0.5, -0.5), (1, (0.5, None))], "element 1: lam must be a real number, got NoneType"),
+        ((("z", 0.5, -0.5),), "element 0: x must be a real number, got str"),
+        ([(0, 0.5)], "element 0: expected PseudoFuzzyElement, (x, mu, lam) or (x, pair)"),
+        ([(0, (0.5, -0.5, 0.0))],
+         "element 0: expected PseudoFuzzyElement, (x, mu, lam) or (x, pair)"),
+        ([0.5], "element 0: expected PseudoFuzzyElement, (x, mu, lam) or (x, pair)"),
+    ], ids=["str-mu", "none-lam", "str-x", "short", "long-pair", "float"])
+    def test_values_that_are_not_numbers_name_element_and_field(self, elements, message):
+        with pytest.raises(TypeError) as raised:
+            validate_set(elements)
+        assert str(raised.value) == message

@@ -53,6 +53,10 @@ class TestShapes:
         with pytest.raises(NonFinite):
             TriangleShape(0, math.nan, 2)
 
+    def test_mu_at_x_must_be_a_number(self):
+        with pytest.raises(TypeError, match=r"^x must be a real number, got str$"):
+            mu_at(PseudoTfn.dependent(0, 1, 2), "q")
+
     def test_interval_ordering(self):
         with pytest.raises(InvalidInterval):
             Interval(2.0, 1.0)

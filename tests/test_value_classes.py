@@ -101,6 +101,12 @@ def test_wrong_arity_or_unknown_keyword_is_a_type_error(cls, args, kwargs, text)
     (lambda: CutTable(ROWS, 42), TypeError, "kind must be a Kind, got int"),
     (lambda: CutTable([(0.0, (1, 2)), (1.0, (1, 2))], DEP), TypeError,
      "row 0: interval must be an Interval, got tuple"),
+    (lambda: CutTable([0.0, 1.0], DEP), TypeError,
+     "row 0: expected an (alpha, Interval) pair, got float"),
+    (lambda: CutTable([(0.0, Interval(0, 2), 2.0), *ROWS[1:]], DEP), TypeError,
+     "row 0: expected an (alpha, Interval) pair, got 3 values"),
+    (lambda: TriangleShape("a", 1, 2), TypeError, "a must be a real number, got str"),
+    (lambda: MembershipPair(None, 0.0), TypeError, "mu must be a real number, got NoneType"),
     (lambda: CutTable(((0.0, Interval(0, 1)), (1.0, Interval(2, 2))), DEP), InvalidCutTable,
      "row 1 not nested inside row 0"),
 ])
