@@ -5,7 +5,10 @@ exactly the fields a, b, c (numbers) and kind ("dependent" or
 "independent"). Commands read the document from a file path or from
 standard input when the path is "-", as bytes. verify --table reads a
 curve CSV a block of lines at a time, as (xs, mus, lams) columns that
-ptfn's one kind checker takes as they come. Each command returns its
+ptfn's one kind checker takes as they come; a large table is read by two
+processes on two CPUs, a forked child checking the lines after its middle
+while this one checks those before, and their verdicts merge into those
+of one process. Each command returns its
 output as a head, rows_of and a row count, and main writes them with
 _write_rows, the only code here that writes standard output. rows_of
 computes any run of rows, so a large table is written a chunk at a time
@@ -80,6 +83,7 @@ _EXIT_CODES = (
 
 _DOCUMENT_FIELDS = ("a", "b", "c", "kind")
 _CURVE_HEADER = "x,mu,lambda"
+_NO_HEADER = f"curve CSV must start with header '{_CURVE_HEADER}'"
 
 # rows per write: one write call per chunk, and the memory of one chunk
 _CHUNK_ROWS = 4096
@@ -95,6 +99,10 @@ _BLOCK_BYTES = 1 << 14
 _LINE_BREAK = re.compile(rb"\r\n?|[\n\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
 # tables of this many chunks or more are written by two processes
 _FORK_CHUNKS = 4
+# curve CSVs of this many bytes or more are read by two processes
+_FORK_BYTES = 1 << 20
+# the size of the forked reader's answer: a row count and two float reprs, padded
+_ANSWER_BYTES = 80
 # what a command returns, for main to write: a head, rows_of and the row
 # count, where rows_of(start, stop) yields the three-value rows start to stop - 1
 _Output = tuple[str, "RowsOf", int]
@@ -291,6 +299,8 @@ def _read_bytes(path: str) -> bytes:
     try:
         if path == "-":
             # bytes, decoded strictly: the text layer may use surrogateescape
+            if sys.stdin is None:  # started with descriptor 0 closed
+                raise DocumentError("cannot read -: stdin is closed")
             stream = getattr(sys.stdin, "buffer", None)  # none on a text stream swapped in
             data = sys.stdin.read().encode() if stream is None else stream.read()
         else:
@@ -309,49 +319,137 @@ def _load_ptfn(path: str) -> PseudoTfn:
     return parse_ptfn(_read_bytes(path))
 
 
-def _blocks(data: bytes) -> Iterator[str]:
-    """The text of UTF-8 data in blocks of about _BLOCK_BYTES, each ending just after a line break.
+def _blocks(data: bytes, start: int, stop: int) -> Iterator[str]:
+    """The text of data[start:stop] in blocks of about _BLOCK_BYTES, each ending just after a line break.
 
-    Neither a UTF-8 sequence nor a "\\r\\n" pair straddles a block's end,
-    so the blocks' splitlines() are the lines of the whole text.
+    data is UTF-8, and start and stop are 0, len(data) or just after a line
+    break. Neither a UTF-8 sequence nor a "\\r\\n" pair straddles a block's
+    end, so the blocks' splitlines() are the lines of the whole text.
     """
-    start = 0
-    while start < len(data):
-        found = _LINE_BREAK.search(data, start + _BLOCK_BYTES)
-        end = found.end() if found else len(data)
+    while start < stop:
+        found = _LINE_BREAK.search(data, start + _BLOCK_BYTES, stop)
+        end = found.end() if found else stop
         yield data[start:end].decode("utf-8")
         start = end
 
 
-def _curve_columns(data: bytes) -> Iterator[Columns]:
-    """Yield the (xs, mus, lams) columns of a curve CSV, a block of lines at a time.
+def _middle_line(data: bytes) -> int:
+    """The start of the first line of UTF-8 data that starts at or after its middle, or len(data)."""
+    found = _LINE_BREAK.search(data, len(data) // 2)
+    return found.end() if found else len(data)
+
+
+class _CurveReader:
+    """Reads a curve CSV's lines a block at a time, and keeps its place between reads.
 
     Blank lines and lines starting with # are skipped, and line numbers
     count the lines kept, the header being line 1. Each row must hold three
     numbers and pass core's one row check, made on a block's columns by
     _block_columns; _bad_curve_line walks a block that fails it line by
-    line. The first defect raises DocumentError.
+    line. The first defect raises DocumentError. A reader made with the
+    header takes every line it reads as a data line.
     """
-    prev, offset, header = -math.inf, 0, None
-    for block in _blocks(data):
-        lines = block.splitlines()
-        if "#" in block or "" in lines:
-            lines = [line for line in lines if line and not line.startswith("#")]
-        if header is None and lines:
-            header = lines.pop(0)
-            if header != _CURVE_HEADER:
-                break  # reported below, as a missing header is
-        if not lines:
-            continue
-        columns = _block_columns(lines, prev)
-        if columns is None:
-            _bad_curve_line(lines, offset, prev)
-        yield columns
-        prev, offset = columns[0][-1], offset + len(lines)
-    if header != _CURVE_HEADER:
-        raise DocumentError(f"curve CSV must start with header '{_CURVE_HEADER}'")
-    if offset == 0:
-        raise DocumentError("curve CSV has no data rows")
+
+    __slots__ = ("header", "rows", "first", "last")
+
+    def __init__(self, header: str | None = None) -> None:
+        self.header = header
+        self.rows = 0  # data lines read
+        self.first = math.inf  # the x of the first row, inf until a row is read
+        self.last = -math.inf  # the x of the last row read
+
+    def columns(self, data: bytes, start: int, stop: int) -> Iterator[Columns]:
+        """Yield the (xs, mus, lams) columns of the lines of data[start:stop]."""
+        for block in _blocks(data, start, stop):
+            lines = block.splitlines()
+            if "#" in block or "" in lines:
+                lines = [line for line in lines if line and not line.startswith("#")]
+            if self.header is None and lines:
+                self.header = lines.pop(0)
+                if self.header != _CURVE_HEADER:
+                    raise DocumentError(_NO_HEADER)
+            if not lines:
+                continue
+            columns = _block_columns(lines, self.last)
+            if columns is None:
+                _bad_curve_line(lines, self.rows, self.last)
+            if not self.rows:
+                self.first = columns[0][0]
+            self.rows += len(lines)
+            self.last = columns[0][-1]
+            yield columns
+
+    def end(self) -> None:
+        """Raise the DocumentError of a table that has no header or no data rows."""
+        if self.header is None:
+            raise DocumentError(_NO_HEADER)
+        if not self.rows:
+            raise DocumentError("curve CSV has no data rows")
+
+
+def _table_violation(data: bytes, kind: Kind, eps: float) -> float | None:
+    """The first kind violation of the curve CSV data, read as _CurveReader reads it.
+
+    A table of _FORK_BYTES or more is read by two processes when there are
+    two CPUs (see _read_forked), with the verdict and errors of one.
+    """
+    reader = _CurveReader()
+    split = _middle_line(data)
+    if len(data) >= _FORK_BYTES and split < len(data) and _two_cpus():
+        violation = _read_forked(reader, data, split, kind, eps)
+    else:
+        violation = _first_violation(reader.columns(data, 0, len(data)), kind, eps)
+    reader.end()
+    return violation
+
+
+def _read_forked(reader: _CurveReader, data: bytes, split: int, kind: Kind, eps: float) -> float | None:
+    """The first kind violation of data, its lines from split on read by a forked child.
+
+    The child reads them as data lines, and if they pass writes its row
+    count, first x and first violation to a pipe as one _ANSWER_BYTES
+    answer. Meanwhile this process reads data[:split]; a defect there
+    stops the child. It takes the child's answer only if its own half held
+    the header and the child's first x lies above its own last x; otherwise
+    it reads data[split:] itself, where it left off, so the verdict and any
+    error are those of one process.
+    """
+    fds = []
+    try:
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:  # no descriptor or process to spare: one process reads it all
+        for fd in fds:
+            os.close(fd)
+        return _first_violation(reader.columns(data, 0, len(data)), kind, eps)
+    answer_r, answer_w = fds
+    if pid == 0:
+        try:
+            os.close(answer_r)
+            half = _CurveReader(_CURVE_HEADER)
+            violation = _first_violation(half.columns(data, split, len(data)), kind, eps)
+            os.write(answer_w, f"{half.rows} {half.first!r} {violation!r}".encode().ljust(_ANSWER_BYTES))
+        finally:
+            os._exit(0)  # no cleanup and no flush: the parent owns the exit
+    os.close(answer_w)
+    try:
+        violation = _first_violation(reader.columns(data, 0, split), kind, eps)
+        answer = os.read(answer_r, _ANSWER_BYTES)  # short if the child failed or died
+    except BaseException:  # the first defect is in this half: the child's cannot come first
+        os.kill(pid, 9)  # SIGKILL, 9 on every POSIX system; its zombie keeps the pid ours
+        raise
+    finally:
+        os.close(answer_r)
+        os.waitpid(pid, 0)
+    if reader.header is not None and len(answer) == _ANSWER_BYTES:
+        rows, first, later = answer.split()
+        if float(first) > reader.last:  # the row check of the child's first row
+            reader.rows += int(rows)
+            if violation is None and later != b"None":
+                violation = float(later)
+            return violation
+    later = _first_violation(reader.columns(data, split, len(data)), kind, eps)
+    return later if violation is None else violation
 
 
 def _block_columns(lines: list[str], prev: float) -> Columns | None:
@@ -447,8 +545,7 @@ def cmd_verify(args: argparse.Namespace) -> _Output:
     if args.table:
         if args.kind is None:
             raise DocumentError("--table requires --kind")
-        columns = _curve_columns(_read_bytes(args.input))
-        violation = _first_violation(columns, Kind(args.kind), args.eps)
+        violation = _table_violation(_read_bytes(args.input), Kind(args.kind), args.eps)
     elif args.kind is not None:
         raise DocumentError("--kind requires --table")
     else:

@@ -39,6 +39,8 @@ DEFAULT_EPS = 1e-9
 def _require_finite(name: str, value: float) -> float:
     try:
         value = float(value)
+    except OverflowError:  # an int beyond the float range, read as 1e400 is
+        value = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):  # float() takes numbers and numeric strings only
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}") from None
     if not math.isfinite(value):

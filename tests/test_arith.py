@@ -93,6 +93,11 @@ class TestScale:
         with pytest.raises(NonFinite, match=r"^k must be finite, got inf$"):
             scale(DEP, math.inf)
 
+    @pytest.mark.parametrize("k, shown", [(10**400, "inf"), (-10**400, "-inf")])
+    def test_integers_beyond_the_float_range_are_not_finite(self, k, shown):
+        with pytest.raises(NonFinite, match=rf"^k must be finite, got {shown}$"):
+            scale(DEP, k)
+
     def test_k_must_be_a_number(self):
         with pytest.raises(TypeError, match=r"^k must be a real number, got str$"):
             scale(DEP, "x")

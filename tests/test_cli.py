@@ -177,6 +177,21 @@ def test_closed_stdout_descriptor_exits_2(argv):
     assert result.stderr == b"error: cannot write output: stdout is closed\n"
 
 
+@pytest.mark.parametrize("argv", [["eval", "-", "1"], ["verify", "-", "--table", "--kind", "dependent"]],
+                         ids=["eval", "verify-table"])
+def test_closed_stdin_descriptor_exits_2(argv):
+    command = shlex.join([sys.executable, "-m", "pseudofuzzy", *argv]) + " <&-"
+    result = subprocess.run(["sh", "-c", command], capture_output=True)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == b"error: cannot read -: stdin is closed\n"
+
+
+def test_closed_stdin_exits_2_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", None)  # as Python sets it when descriptor 0 is closed
+    assert cli.main(["eval", "-", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: cannot read -: stdin is closed\n")
+
+
 @pytest.mark.parametrize("count", [str(2**53 + 1), str(10**400)], ids=["2**53+1", "10**400"])
 @pytest.mark.parametrize("argv, message", [
     (["curve", DEP, "--n"], "need n <= 2**53 sample points"),

@@ -52,6 +52,13 @@ class TestValidatePair:
         with pytest.raises(NonFinite):
             validate_pair(mu, lam)
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["+", "-"])
+    def test_integers_beyond_the_float_range_are_not_finite(self, sign):
+        # float() of such an int raises OverflowError; it is read as 1e400 is
+        with pytest.raises(NonFinite) as raised:
+            validate_pair(sign * 10**400, 0)
+        assert str(raised.value) == f"mu must be finite, got {sign * math.inf!r}"
+
     def test_idempotent_on_valid_pair(self):
         pair = validate_pair(0.25, -0.75)
         assert validate_pair(pair.mu, pair.lam) == pair

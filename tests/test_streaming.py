@@ -5,6 +5,7 @@ at a time as it would line by line."""
 import contextlib
 import io
 import math
+import os
 import sys
 import tracemalloc
 from unittest import mock
@@ -146,6 +147,21 @@ def traced_peak(argv):
     return peak
 
 
+def traced_read_peak(argv, forked=False):
+    """traced_peak of a verify --table read by one process, or by two.
+
+    A forked read traces only this process, which reads half the table.
+    """
+    with mock.patch.object(cli, "_two_cpus", return_value=forked), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        peak = traced_peak(argv)
+    assert fork.call_count == forked
+    return peak
+
+
+can_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+
 @pytest.mark.parametrize("argv", [
     ["curve", "{p}", "--n", "50001"],
     ["arith", "mul", "{p}", "{q}", "--levels", "50001"],
@@ -161,7 +177,7 @@ def test_verify_table_memory_is_bounded_by_the_file(tmp_path):
     with open(table, "w") as handle:
         run_main(["curve", doc(tmp_path, DEP, "p"), "--n", "50001"], stdout=handle)
     size = table.stat().st_size
-    assert traced_peak(["verify", str(table), "--table", "--kind", "dependent"]) < 6 * size
+    assert traced_read_peak(["verify", str(table), "--table", "--kind", "dependent"]) < 6 * size
 
 
 def test_verify_table_holds_the_file_once(tmp_path):
@@ -170,7 +186,17 @@ def test_verify_table_holds_the_file_once(tmp_path):
     with open(table, "w") as handle:
         run_main(["curve", doc(tmp_path, DEP, "p"), "--n", "50001"], stdout=handle)
     size = table.stat().st_size
-    assert traced_peak(["verify", str(table), "--table", "--kind", "dependent"]) <= 2 * size
+    assert size >= cli._FORK_BYTES  # so that the forked variant below forks
+    assert traced_read_peak(["verify", str(table), "--table", "--kind", "dependent"]) <= 2 * size
+
+
+@can_fork
+def test_forked_verify_table_holds_the_file_once(tmp_path):
+    table = tmp_path / "curve.csv"
+    with open(table, "w") as handle:
+        run_main(["curve", doc(tmp_path, DEP, "p"), "--n", "50001"], stdout=handle)
+    size = table.stat().st_size
+    assert traced_read_peak(["verify", str(table), "--table", "--kind", "dependent"], True) <= 2 * size
 
 
 LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
@@ -186,18 +212,35 @@ def test_verify_table_holds_the_file_once_whatever_its_line_breaks(tmp_path, end
     table = tmp_path / "curve.csv"
     table.write_bytes(out.getvalue().replace("\n", end).encode())
     size = table.stat().st_size
-    assert traced_peak(["verify", str(table), "--table", "--kind", "dependent"]) <= 2 * size
+    assert traced_read_peak(["verify", str(table), "--table", "--kind", "dependent"]) <= 2 * size
+
+
+@can_fork
+@pytest.mark.parametrize("end", ["\r", "\r\n", "\x0c", "\x1e"], ids=repr)
+def test_forked_verify_table_holds_the_file_once_whatever_its_line_breaks(tmp_path, end):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["curve", doc(tmp_path, DEP, "p"), "--n", "50001"])
+    table = tmp_path / "curve.csv"
+    table.write_bytes(out.getvalue().replace("\n", end).encode())
+    size = table.stat().st_size
+    assert traced_read_peak(["verify", str(table), "--table", "--kind", "dependent"], True) <= 2 * size
 
 
 @settings(deadline=None)
 @given(st.lists(st.tuples(st.text(alphabet="0,1.é-#x", max_size=6), st.sampled_from(LINE_BREAKS))),
        st.integers(min_value=1, max_value=8))
 def test_blocks_split_into_the_lines_of_the_whole_text(pieces, block):
+    # read whole, or in two halves split where a forked read splits them
     text = "".join(line + end for line, end in pieces)
+    data = text.encode()
+    split = cli._middle_line(data)
     with mock.patch.object(cli, "_BLOCK_BYTES", block):
-        blocks = list(cli._blocks(text.encode()))
-    assert "".join(blocks) == text
-    assert [line for b in blocks for line in b.splitlines()] == text.splitlines()
+        whole = list(cli._blocks(data, 0, len(data)))
+        halves = [*cli._blocks(data, 0, split), *cli._blocks(data, split, len(data))]
+    for blocks in (whole, halves):
+        assert "".join(blocks) == text
+        assert [line for b in blocks for line in b.splitlines()] == text.splitlines()
 
 
 @pytest.mark.parametrize("argv,out", [

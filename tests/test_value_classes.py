@@ -105,6 +105,8 @@ def test_wrong_arity_or_unknown_keyword_is_a_type_error(cls, args, kwargs, text)
      "row 0: expected an (alpha, Interval) pair, got float"),
     (lambda: CutTable([(0.0, Interval(0, 2), 2.0), *ROWS[1:]], DEP), TypeError,
      "row 0: expected an (alpha, Interval) pair, got 3 values"),
+    (lambda: TriangleShape(10**400, 1, 2), NonFinite, "a must be finite, got inf"),
+    (lambda: TriangleShape(-10**400, 1, 2), NonFinite, "a must be finite, got -inf"),
     (lambda: TriangleShape("a", 1, 2), TypeError, "a must be a real number, got str"),
     (lambda: MembershipPair(None, 0.0), TypeError, "mu must be a real number, got NoneType"),
     (lambda: CutTable(((0.0, Interval(0, 1)), (1.0, Interval(2, 2))), DEP), InvalidCutTable,
