@@ -4,11 +4,15 @@ Addition, subtraction, and scaling stay triangular, so they return a new
 PseudoTfn with the closed-form shape. Products and quotients of triangles
 are not triangular; mul and div therefore return a CutTable: interval
 endpoints tabulated at equally spaced levels in [0, 1]. A table is
-computed as (alpha, lo, hi) float rows, by one loop per table that calls
-the cut kernel and checks each row inline, from any row to any other:
-cut_table, mul and div collect all rows into a CutTable, and the CLI
-writes them a chunk at a time. _nested_rows holds the rules of a table
-for both.
+computed a chunk of rows at a time, from any row to any other, as
+(alphas, los, his) float columns: the cuts of each operand by their two
+linear branches, and the least and greatest of their four endpoint
+products. Each chunk is checked as columns; one that fails, or that the
+columns do not cover, is computed by the row loop (_cut_rows,
+_product_rows) with the same floats, which raises the error of its first
+bad row. cut_table, mul and div collect all rows into a CutTable, and
+the CLI writes them a chunk at a time. _nested_rows holds the rules of a
+table for both.
 
 All positive-membership machinery is kind-agnostic; the negative grade of
 any result is recovered from the kind identity (lam = mu - 1 dependent,
@@ -27,6 +31,8 @@ import enum
 import math
 import operator
 from bisect import bisect_left
+from itertools import islice, repeat
+from operator import ge, le, lt
 
 from .core import (
     _MAX_COUNT,
@@ -44,7 +50,18 @@ from .errors import (
     NonFinite,
     ZeroScale,
 )
-from .ptfn import Interval, Kind, PseudoTfn, TriangleShape, _cut, _lam, _require_kind, mu_at
+from .ptfn import (
+    Interval,
+    Kind,
+    PseudoTfn,
+    TriangleShape,
+    _cut,
+    _lam,
+    _require_kind,
+    _rows,
+    _transposed,
+    mu_at,
+)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -52,7 +69,7 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-    from .ptfn import RowsOf
+    from .ptfn import Columns, ColumnsOf
 
 DEFAULT_LEVELS = 11
 DEFAULT_ORACLE_GRID = 256
@@ -60,6 +77,7 @@ DEFAULT_ORACLE_GRID = 256
 MAX_ORACLE_GRID = 4096
 
 Row = tuple[float, float, float]  # (alpha, lo, hi) of a cut table
+Side = tuple[list, list]  # (los, his): the cuts of one operand, as columns
 
 
 class BinaryOpCode(enum.Enum):
@@ -149,12 +167,32 @@ def _nested_rows(rows: Iterable[Row], start: int = 0, end: bool = True) -> Itera
         raise InvalidCutTable("levels must start at 0 and end at 1")
 
 
-def _nested(rows_of: RowsOf, count: int) -> RowsOf:
-    """rows_of of a table of count rows, each row checked by _nested_rows."""
-    # row start - 1, computed again, seeds the checks of row start
-    return lambda start, stop: _nested_rows(
-        rows_of(max(start - 1, 0), stop), start, stop == count
-    )
+def _nested(columns_of: ColumnsOf, count: int) -> ColumnsOf:
+    """columns_of of a table of count rows, each chunk checked by the rules of _nested_rows.
+
+    A chunk whose levels rise strictly and whose cuts nest without slack
+    passes as it is; _nested_rows checks any other, and raises its error
+    or passes it with slack.
+    """
+
+    def nested_columns(start: int, stop: int) -> Columns:
+        # row start - 1, computed again, seeds the checks of row start
+        first = max(start - 1, 0)
+        alphas, los, his = columns_of(first, stop)
+        end = stop == count
+        if not (
+            (start or alphas[0] == 0.0) and (not end or (stop >= 2 and alphas[-1] == 1.0))
+            and all(map(lt, alphas, islice(alphas, 1, None)))
+            and all(map(le, los, islice(los, 1, None)))
+            and all(map(ge, his, islice(his, 1, None)))
+        ):
+            for _ in _nested_rows(zip(alphas, los, his), start, end):
+                pass
+        if start:
+            return alphas[1:], los[1:], his[1:]
+        return alphas, los, his
+
+    return nested_columns
 
 
 def _require_same_kind(p: PseudoTfn, q: PseudoTfn) -> Kind:
@@ -228,17 +266,58 @@ def _overflow(op: str, alpha: float, p: PseudoTfn, q: Optional[PseudoTfn] = None
     raise NonFinite(f"{op} overflows at alpha={alpha!r}: {reason}")
 
 
-def _table(rows_of: RowsOf, count: int, kind: Kind) -> CutTable:
-    return CutTable(tuple((alpha, Interval(lo, hi)) for alpha, lo, hi in rows_of(0, count)), kind)
+def _table(columns_of: ColumnsOf, count: int, kind: Kind) -> CutTable:
+    rows = _rows(columns_of, count)
+    return CutTable(tuple((alpha, Interval(lo, hi)) for alpha, lo, hi in rows), kind)
 
 
-def _cuts(p: PseudoTfn, levels: int) -> tuple[RowsOf, int]:
-    """Check now; return (rows_of, levels) for the alpha-cuts of p at levels equally spaced levels.
+def _levels(last: int, start: int, stop: int) -> list[float]:
+    """The levels j / last, j from start to stop - 1, as the loop computes them."""
+    return [j / last for j in range(start, stop)]
 
-    rows_of(start, stop) yields the (alpha, lo, hi) rows start to stop - 1.
+
+def _side(p: PseudoTfn, alphas: list[float]) -> Optional[Side]:
+    """The (los, his) columns of _cut of p at each of alphas, or None.
+
+    None if _cut does more than its two linear branches at one of them:
+    halves a side that overflows, or takes the midpoint of endpoints that
+    rounding inverted. Below alpha = 1, lo rises and hi falls with alpha,
+    so the first row and the last such row bound the rest: if they are
+    finite and ordered, so is every row.
+    """
+    a, b, c, inf = p.a, p.b, p.c, math.inf
+    left, right = b - a, c - b
+    if not (left < inf and right < inf):
+        return None
+    los = [a + alpha * left for alpha in alphas]
+    his = [c - alpha * right for alpha in alphas]
+    ordered = los[-1] <= his[-1]
+    if alphas[-1] == 1.0:  # only the last level can be 1, where the cut is the peak
+        ordered = len(alphas) < 2 or los[-2] <= his[-2]
+        los[-1] = his[-1] = b
+    return (los, his) if -inf < los[0] and his[0] < inf and ordered else None
+
+
+def _cuts(p: PseudoTfn, levels: int) -> tuple[ColumnsOf, int]:
+    """Check now; return (columns_of, levels) for the alpha-cuts of p at levels equally spaced levels.
+
+    columns_of(start, stop) is the (alphas, los, his) columns of the rows start to stop - 1.
     """
     last = _last_level(levels)
-    return (lambda start, stop: _cut_rows(p, last, start, stop)), last + 1
+    return (lambda start, stop: _cut_columns(p, last, start, stop)), last + 1
+
+
+def _cut_columns(p: PseudoTfn, last: int, start: int, stop: int) -> Columns:
+    """The rows start to stop - 1 of _cut_rows, as (alphas, los, his) columns.
+
+    A chunk whose cuts _side does not compute is _cut_rows's, which raises
+    the error of the first row that overflows.
+    """
+    alphas = _levels(last, start, stop)
+    side = _side(p, alphas) if alphas else None
+    if side is None:
+        return _transposed(_cut_rows(p, last, start, stop))
+    return alphas, *side
 
 
 def _cut_rows(p: PseudoTfn, last: int, start: int, stop: int) -> Iterator[Row]:
@@ -252,17 +331,57 @@ def _cut_rows(p: PseudoTfn, last: int, start: int, stop: int) -> Iterator[Row]:
         yield alpha, lo, hi
 
 
-def _products(op: str, p: PseudoTfn, q: PseudoTfn, levels: int) -> tuple[RowsOf, int]:
-    """Check now; return (rows_of, levels) for the cuts of p * q (mul) or p / q (div)
+def _products(op: str, p: PseudoTfn, q: PseudoTfn, levels: int) -> tuple[ColumnsOf, int]:
+    """Check now; return (columns_of, levels) for the cuts of p * q (mul) or p / q (div)
     at levels equally spaced levels.
 
-    rows_of(start, stop) yields the (alpha, lo, hi) rows start to stop - 1.
+    columns_of(start, stop) is the (alphas, los, his) columns of the rows start to stop - 1.
     """
     _require_same_kind(p, q)
     if op == "div":
         _check_divisor(q)
     last = _last_level(levels)
-    return (lambda start, stop: _product_rows(op, p, q, last, start, stop)), last + 1
+    return (lambda start, stop: _product_columns(op, p, q, last, start, stop)), last + 1
+
+
+def _product_columns(
+    op: str, p: PseudoTfn, q: PseudoTfn, last: int, start: int, stop: int
+) -> Columns:
+    """The rows start to stop - 1 of _product_rows, as (alphas, los, his) columns.
+
+    Each row's lo and hi are the least and the greatest of its four
+    endpoint products, ties kept first as in _product_rows, so signed
+    zeros match too. A chunk whose cuts or products are not finite
+    intervals is _product_rows's, which raises the error of its first row.
+    """
+    alphas = _levels(last, start, stop)
+    u = _side(p, alphas) if alphas else None
+    v = _side(q, alphas) if alphas else None
+    if op == "div" and v is not None:
+        # a divisor's cuts lie in its support, clear of 0: their reciprocals
+        # are ordered, and finite if that of the foot nearest 0 is
+        vlo, vhi = v
+        near = q.a if q.a > 0.0 else q.c
+        clear = (q.a > 0.0 or q.c < 0.0) and -math.inf < 1.0 / near < math.inf
+        v = ([1.0 / y for y in vhi], [1.0 / y for y in vlo]) if clear else None
+        del vlo, vhi
+    if u is None or v is None:
+        return _transposed(_product_rows(op, p, q, last, start, stop))
+    los, his = [], []
+    for ulo, uhi, vlo, vhi in zip(*u, *v):
+        lo = hi = ulo * vlo
+        for product in (ulo * vhi, uhi * vlo, uhi * vhi):
+            if product < lo:
+                lo = product
+            elif product > hi:
+                hi = product
+        los.append(lo)
+        his.append(hi)
+    del u, v
+    # no product of finite cuts is NaN, and lo <= hi in every row: min and max bound them
+    if not (-math.inf < min(los) and max(his) < math.inf):
+        return _transposed(_product_rows(op, p, q, last, start, stop))
+    return alphas, los, his
 
 
 def _product_rows(
@@ -270,7 +389,7 @@ def _product_rows(
 ) -> Iterator[Row]:
     """Yield (alpha, lo, hi) at levels j / last, j from start to stop - 1: the
     extremes of the four endpoint products of p's cut and q's (mul) or its
-    reciprocal (div).
+    reciprocal (div), one row at a time.
 
     A divisor's feet share a sign, so its cuts are finite and not 0.
     """

@@ -9,11 +9,13 @@ ptfn's one kind checker takes as they come; a large table is read by two
 processes on two CPUs, a forked child checking the lines after its middle
 while this one checks those before, and their verdicts merge into those
 of one process. Each command returns its
-output as a head, rows_of and a row count, and main writes them with
-_write_rows, the only code here that writes standard output. rows_of
-computes any run of rows, so a large table is written a chunk at a time
-by two processes on two CPUs: this one the even chunks, a forked child
-the odd ones, taking turns, with the output and errors of one process.
+output as a head, columns_of and a row count, and main writes them with
+_write_rows, the only code here that writes standard output.
+columns_of computes the three columns of any run of rows, so a large
+table is written a chunk at a time, its columns interleaved into one %
+template, by two processes on two CPUs: this one the even chunks, a
+forked child the odd ones, taking turns, with the output and errors of
+one process.
 
 Exit codes: 0 success, 2 parse/format/I-O error, 3 domain error, 4 kind
 mismatch, 5 divisor straddles zero.
@@ -22,14 +24,15 @@ mismatch, 5 divisor straddles zero.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import re
 import sys
 from collections.abc import Callable, Iterator, Sequence
-from itertools import chain, islice, repeat
-from operator import add, ge, le, lt
+from itertools import islice, repeat
+from operator import ge, le, lt
 
 from . import arith
 from .core import (
@@ -46,6 +49,7 @@ from .errors import (
     PseudoFuzzyError,
 )
 from .ptfn import (
+    _CHUNK_ROWS,
     Kind,
     PseudoTfn,
     TriangleShape,
@@ -65,7 +69,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import NoReturn
 
-    from .ptfn import Columns, RowsOf
+    from .ptfn import Columns, ColumnsOf
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -85,8 +89,6 @@ _DOCUMENT_FIELDS = ("a", "b", "c", "kind")
 _CURVE_HEADER = "x,mu,lambda"
 _NO_HEADER = f"curve CSV must start with header '{_CURVE_HEADER}'"
 
-# rows per write: one write call per chunk, and the memory of one chunk
-_CHUNK_ROWS = 4096
 # a row of three values as _fmt writes them; "%.12g" % v is f"{v:.12g}"
 _ROW = "%.12g,%.12g,%.12g\n"
 _CHUNK = _ROW * _CHUNK_ROWS
@@ -103,9 +105,9 @@ _FORK_CHUNKS = 4
 _FORK_BYTES = 1 << 20
 # the size of the forked reader's answer: a row count and two float reprs, padded
 _ANSWER_BYTES = 80
-# what a command returns, for main to write: a head, rows_of and the row
-# count, where rows_of(start, stop) yields the three-value rows start to stop - 1
-_Output = tuple[str, "RowsOf", int]
+# what a command returns, for main to write: a head, columns_of and the row
+# count, where columns_of(start, stop) is the three columns of the rows start to stop - 1
+_Output = tuple[str, "ColumnsOf", int]
 
 
 def _fmt(value: float) -> str:
@@ -115,28 +117,33 @@ def _fmt(value: float) -> str:
 
 def _given(head: str, *rows: Sequence[float]) -> _Output:
     """The output of a command whose rows, if any, are in hand."""
-    return head, lambda start, stop: rows[start:stop], len(rows)
+    columns = tuple(zip(*rows)) or ((), (), ())
+    return head, lambda start, stop: tuple(column[start:stop] for column in columns), len(rows)
 
 
-def _write_rows(head: str, rows_of: RowsOf, count: int) -> None:
-    """Write head, then each three-value row as a CSV line, _CHUNK_ROWS rows per write.
+def _write_rows(head: str, columns_of: ColumnsOf, count: int) -> None:
+    """Write head, then each row of three values as a CSV line, _CHUNK_ROWS rows per write.
 
-    Values are formatted as _fmt does, a chunk at a time. A chunk is
-    computed, and so checked, in full before it is written: an error in
-    the first chunk leaves stdout empty; a later one leaves the chunks
-    before it written. A table of _FORK_CHUNKS chunks or more is written
-    by two processes when there are two CPUs (see _write_forked), with
-    the same output, errors and partial output.
+    A chunk's columns are interleaved into one run of values and
+    formatted as _fmt does, by one % template. A chunk is computed, and
+    so checked, in full before it is written: an error in the first chunk
+    leaves stdout empty; a later one leaves the chunks before it written.
+    A table of _FORK_CHUNKS chunks or more is written by two processes
+    when there are two CPUs (see _write_forked), with the same output,
+    errors and partial output.
     """
     chunks = max(-(-count // _CHUNK_ROWS), 1)  # one at least, for the head
 
     def text_of(k: int) -> str:
         start = k * _CHUNK_ROWS
-        rows = rows_of(start, min(start + _CHUNK_ROWS, count))
-        # + 0.0 folds -0.0, as in _fmt
-        values = tuple(map(add, chain.from_iterable(rows), repeat(0.0)))
-        size = len(values) // 3
-        return ("" if k else head) + (_CHUNK if size == _CHUNK_ROWS else _ROW * size) % values
+        columns = list(columns_of(start, min(start + _CHUNK_ROWS, count)))
+        size = len(columns[0])
+        values = [0.0] * (3 * size)
+        for i in range(3):
+            # + 0.0 folds -0.0, as in _fmt; a column is dropped once it is in values
+            values[i::3] = [value + 0.0 for value in columns[i]]
+            columns[i] = None
+        return ("" if k else head) + (_CHUNK if size == _CHUNK_ROWS else _ROW * size) % tuple(values)
 
     # a stream a caller swapped in is written by this process alone
     real_stdout = sys.stdout is not None and sys.stdout is sys.__stdout__
@@ -534,11 +541,11 @@ def cmd_arith(args: argparse.Namespace) -> _Output:
     p = _load_ptfn(args.ptfn1)
     q = _load_ptfn(args.ptfn2)
     if args.op in ("add", "sub"):
-        rows_of, count = arith._cuts(getattr(arith, args.op)(p, q), args.levels)
+        columns_of, count = arith._cuts(getattr(arith, args.op)(p, q), args.levels)
     else:
-        rows_of, count = arith._products(args.op, p, q, args.levels)
+        columns_of, count = arith._products(args.op, p, q, args.levels)
     # each operation has checked that p and q share the kind of the result
-    return f"# kind={p.kind.value}\nalpha,lo,hi\n", arith._nested(rows_of, count), count
+    return f"# kind={p.kind.value}\nalpha,lo,hi\n", arith._nested(columns_of, count), count
 
 
 def cmd_verify(args: argparse.Namespace) -> _Output:
@@ -658,6 +665,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # a process that runs one command: what is alive now lives to its end,
+    # so the collector need not walk it again, in a collection or at exit
+    gc.freeze()
     sys.exit(main())
 
 

@@ -36,20 +36,25 @@ if TYPE_CHECKING:
 DEFAULT_EPS = 1e-9
 
 
-def _require_finite(name: str, value: float) -> float:
+def _real(name: str, value: float) -> float:
+    """value as a float; TypeError "{name} must be a real number" if it is none."""
     try:
-        value = float(value)
+        return float(value)
     except OverflowError:  # an int beyond the float range, read as 1e400 is
-        value = math.inf if value > 0 else -math.inf
+        return math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):  # float() takes numbers and numeric strings only
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}") from None
+
+
+def _require_finite(name: str, value: float) -> float:
+    value = _real(name, value)
     if not math.isfinite(value):
         raise NonFinite(f"{name} must be finite, got {value!r}")
     return value
 
 
 def _require_eps(eps: float) -> float:
-    eps = float(eps)
+    eps = _real("eps", eps)
     if not math.isfinite(eps) or eps <= 0.0:
         raise BadTolerance(f"eps must be a finite positive real, got {eps!r}")
     return eps

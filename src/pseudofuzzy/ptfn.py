@@ -21,13 +21,19 @@ independent one has |mu| + |lam| = 2*mu, sweeping cases A and C.
 
 Degenerate sides: a == b (or b == c) makes that side a step, with the
 peak value 1 taken at x == b. a == b == c is rejected at construction.
+
+Sampled curves are computed a chunk of rows at a time, as (xs, mus, lams)
+columns: mu by one branch of the hat on each run of the sorted xs between
+a, b and c. The columns are checked whole; the row loop, with the same
+floats, computes a chunk that fails and names its first bad row.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from itertools import compress, repeat
+from bisect import bisect_left, bisect_right
+from itertools import compress, islice, repeat
 from operator import lt, sub
 
 from .core import (
@@ -38,6 +44,7 @@ from .core import (
     PseudoFuzzyElement,
     _bad_row,
     _Frozen,
+    _real,
     _require_count,
     _require_eps,
     _require_finite,
@@ -57,8 +64,12 @@ if TYPE_CHECKING:
     from typing import Callable, Iterable, Iterator, Optional, Sequence
 
     Columns = tuple[Sequence[float], Sequence[float], Sequence[float]]  # xs, mus, lams
-    # rows_of(start, stop) yields the rows start to stop - 1 of a table
-    RowsOf = Callable[[int, int], Iterable[Sequence[float]]]
+    # columns_of(start, stop) is the three columns of the rows start to stop - 1 of a table
+    ColumnsOf = Callable[[int, int], Columns]
+
+# rows computed at a time: the CLI writes a chunk of this many rows per
+# write call, and the library builds a whole table this many rows at a time
+_CHUNK_ROWS = 4096
 
 
 class Kind(enum.Enum):
@@ -227,7 +238,7 @@ def alpha_cut_mu(p: PseudoTfn, alpha: float) -> Interval:
     alpha = 0 returns the support closure [a, c]; alpha = 1 the peak
     [b, b]. Interior levels invert the two linear branches.
     """
-    alpha = float(alpha)
+    alpha = _real("alpha", alpha)
     if not 0.0 <= alpha <= 1.0:  # NaN fails the chained comparison too
         raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha!r}")
     return Interval(*_cut(p.a, p.b, p.c, alpha))
@@ -242,7 +253,7 @@ def beta_cut_lambda(p: PseudoTfn, beta: float) -> Interval:
     the negative grade is strongest (lam <= beta); by lam = -mu that is
     the mu-cut at level -beta.
     """
-    beta = float(beta)
+    beta = _real("beta", beta)
     if not -1.0 <= beta <= 0.0:
         raise BetaOutOfRange(f"beta must lie in [-1, 0], got {beta!r}")
     if p.kind is Kind.DEPENDENT:
@@ -256,8 +267,8 @@ def parametric_point(p: PseudoTfn, r: float, s: float) -> float:
     s = 0 gives the left endpoint, s = 1 the right; r = 1 collapses to
     the peak b for every s.
     """
-    r = float(r)
-    s = float(s)
+    r = _real("r", r)
+    s = _real("s", s)
     if not 0.0 <= r <= 1.0:
         raise ParamOutOfRange(f"r must lie in [0, 1], got {r!r}")
     if not 0.0 <= s <= 1.0:
@@ -274,11 +285,11 @@ def _default_window(p: PseudoTfn) -> tuple[float, float]:
 
 def _sample(
     p: PseudoTfn, n: int, xmin: float, xmax: float, count: str = "n"
-) -> tuple[RowsOf, int]:
-    """Check now; return (rows_of, n) for the n rows (x, mu, lam) at even steps over [xmin, xmax].
+) -> tuple[ColumnsOf, int]:
+    """Check now; return (columns_of, n) for the n rows (x, mu, lam) at even steps over [xmin, xmax].
 
-    rows_of(start, stop) yields the rows start to stop - 1, so the rows can
-    be computed a chunk at a time, in any order.
+    columns_of(start, stop) is the (xs, mus, lams) columns of the rows start
+    to stop - 1, so the rows can be computed a chunk at a time, in any order.
     """
     n = _require_count(n, 2, _MAX_COUNT, count, " sample points")
     xmin = _require_finite("xmin", xmin)
@@ -287,14 +298,70 @@ def _sample(
         raise BadRange(f"need xmin < xmax, got [{xmin!r}, {xmax!r}]")
     if xmax - xmin == math.inf:
         raise BadRange(f"window width xmax - xmin overflows, got [{xmin!r}, {xmax!r}]")
-    return (lambda start, stop: _sample_rows(p, n, xmin, xmax, start, stop)), n
+    return (lambda start, stop: _sample_columns(p, n, xmin, xmax, start, stop)), n
+
+
+def _sample_columns(p: PseudoTfn, n: int, xmin: float, xmax: float, start: int, stop: int) -> Columns:
+    """The rows start to stop - 1 of _sample_rows, as (xs, mus, lams) columns.
+
+    Each column is computed with the loop's floats, a column at a time,
+    and checked whole: x rises strictly from row start - 1 and stays
+    finite, mu lies in [0, 1] and lam in [-1, 0] (on finite xs and sides
+    neither is NaN, so min and max bound them). The rows of a chunk that
+    fails, or of a triangle with a side b - a or c - b that overflows, are
+    _sample_rows's, which raises the error of the first bad row.
+    """
+    if start >= stop:
+        return [], [], []
+    a, b, c, inf = p.a, p.b, p.c, math.inf
+    span, last = xmax - xmin, n - 1
+    scale = 1.0 if span * last < inf else 2.0 ** last.bit_length()  # as in _sample_rows
+    step = span / scale
+    prev = xmin + ((start - 1) * step) / last * scale if start else -inf
+    xs = [xmin + (i * step) / last * scale for i in range(start, stop)]
+    if stop == n:
+        xs[-1] = xmax
+    left, right = b - a, c - b
+    if not (
+        left < inf and right < inf  # else _mu halves the triangle
+        and xs[0] > prev and xs[-1] < inf and all(map(lt, xs, islice(xs, 1, None)))
+    ):
+        return _transposed(_sample_rows(p, n, xmin, xmax, start, stop))
+    # the xs are sorted: _mu takes one branch on each run of them between a, b and c
+    ia = bisect_left(xs, a)
+    ib = bisect_left(xs, b, ia)
+    jb = bisect_right(xs, b, ib)
+    jc = bisect_right(xs, c, jb)
+    mus = [0.0] * ia
+    mus += [(x - a) / left for x in islice(xs, ia, ib)]
+    mus += repeat(1.0, jb - ib)
+    mus += [(c - x) / right for x in islice(xs, jb, jc)]
+    mus += repeat(0.0, stop - start - jc)
+    lams = list(_lams(p.kind, mus))
+    if not (0.0 <= min(mus) and max(mus) <= 1.0 and -1.0 <= min(lams) and max(lams) <= 0.0):
+        return _transposed(_sample_rows(p, n, xmin, xmax, start, stop))
+    return xs, mus, lams
+
+
+def _transposed(rows: Iterable[Sequence[float]]) -> tuple[list[float], list[float], list[float]]:
+    """The three columns of rows of three values, each a list."""
+    columns = tuple(map(list, zip(*rows)))
+    return columns or ([], [], [])
+
+
+def _rows(columns_of: ColumnsOf, count: int) -> Iterator[tuple[float, float, float]]:
+    """The rows 0 to count - 1 of columns_of, computed _CHUNK_ROWS at a time."""
+    for start in range(0, count, _CHUNK_ROWS):
+        yield from zip(*columns_of(start, min(start + _CHUNK_ROWS, count)))
 
 
 def _sample_rows(p: PseudoTfn, n: int, xmin: float, xmax: float, start: int, stop: int) -> Iterator:
-    """Yield the rows start to stop - 1 of _sample's n rows.
+    """Yield the rows start to stop - 1 of _sample's n rows, one at a time.
 
     Each row passes core's one row check, made inline (x after the
-    previous row's x); core._bad_row explains a row that fails it.
+    previous row's x); core._bad_row explains a row that fails it. The
+    column kernel _sample_columns computes the same floats; this loop
+    takes the chunks it leaves.
     """
     a, b, c, kind, inf = p.a, p.b, p.c, p.kind, math.inf
     span, last = xmax - xmin, n - 1
@@ -315,9 +382,9 @@ def _sample_rows(p: PseudoTfn, n: int, xmin: float, xmax: float, start: int, sto
 
 def discretize(p: PseudoTfn, n: int, xmin: float, xmax: float) -> DiscretePseudoFuzzySet:
     """Sample both grades at n equally spaced points of [xmin, xmax]."""
-    rows_of, n = _sample(p, n, xmin, xmax)
+    columns_of, n = _sample(p, n, xmin, xmax)
     return DiscretePseudoFuzzySet(
-        tuple(PseudoFuzzyElement(x, MembershipPair(mu, lam)) for x, mu, lam in rows_of(0, n))
+        tuple(PseudoFuzzyElement(x, MembershipPair(mu, lam)) for x, mu, lam in _rows(columns_of, n))
     )
 
 

@@ -1,5 +1,6 @@
 """CLI contract tests: golden stdout per subcommand, exit codes, determinism."""
 
+import gc
 import json
 import math
 import os
@@ -470,3 +471,25 @@ class TestColdFeverSample:
 def test_parse_ptfn_accepts_bytes():
     p = parse_ptfn(json.dumps({"a": 0, "b": 1, "c": 2, "kind": "independent"}).encode())
     assert p.kind.value == "independent"
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    # only entry(), which ends the process, freezes its objects: main is called in process
+    frozen = gc.get_freeze_count()
+    assert cli.main(["classify", "0.25", "-0.75"]) == 0
+    assert capsys.readouterr().out == "B\n"
+    assert gc.get_freeze_count() == frozen
+
+
+def test_entry_freezes_the_objects_of_its_process():
+    script = textwrap.dedent("""\
+        import gc, sys
+        from pseudofuzzy import cli
+        sys.argv = ["pseudofuzzy", "classify", "0.25", "-0.75"]
+        try:
+            cli.entry()
+        except SystemExit as exc:
+            print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)
+    """)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (result.stdout, result.stderr) == ("B\n", "0 True\n")

@@ -1,0 +1,180 @@
+"""The column kernels compute the rows of the row kernels: for any chunk,
+columns_of(start, stop) is the transposed rows, bit for bit (signed zeros
+included), or the same error. The row kernels are the oracle."""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pseudofuzzy import Kind, PseudoTfn, arith, ptfn
+
+CHUNK = ptfn._CHUNK_ROWS
+COUNTS = [2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 3 * CHUNK + 1]
+
+# feet: signed zeros, values either side of 0, tiny ones whose products
+# underflow to a signed 0, and large ones whose sides or products overflow
+FEET = [0.0, -0.0, 1.0, -1.0, 0.25, -2.5, 3.0, 1e-200, -1e-200, 5e-324, -5e-324,
+        1e300, -1e300, 1.7e308, -1.7e308]
+feet = st.one_of(st.sampled_from(FEET), st.floats(-8.0, 8.0, allow_nan=False))
+kinds = st.sampled_from(list(Kind))
+
+
+@st.composite
+def triangles(draw):
+    a, b, c = sorted([draw(feet), draw(feet), draw(feet)])
+    if a == c:
+        c = c + 1.0 if abs(c) < 8.0 and draw(st.booleans()) else math.nextafter(c, math.inf)
+    return PseudoTfn.independent(a, b, c) if draw(kinds) is Kind.INDEPENDENT \
+        else PseudoTfn.dependent(a, b, c)
+
+
+@st.composite
+def chunks(draw):
+    """(count, start, stop): a chunk of a table of count rows, often one that
+    starts a chunk of the writer or ends the table."""
+    count = draw(st.sampled_from(COUNTS))
+    starts = list(range(0, count, CHUNK))
+    start = draw(st.one_of(st.sampled_from(starts), st.integers(0, count - 1)))
+    stop = draw(st.one_of(st.just(min(start + CHUNK, count)), st.integers(start + 1, count)))
+    return count, start, stop
+
+
+def outcome(compute):
+    """repr of the columns compute() returns, or the type and message of its error."""
+    try:
+        columns = compute()
+    except Exception as exc:  # the row kernels' errors: ValueError subclasses
+        return type(exc), str(exc)
+    return repr([list(column) for column in columns])
+
+
+def rows_outcome(rows):
+    return outcome(lambda: ptfn._transposed(list(rows())))
+
+
+def same(columns, rows):
+    got, want = outcome(columns), rows_outcome(rows)
+    if got != want:  # not an assert: pytest's diff of two long reprs takes minutes
+        at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+        around = slice(max(at - 80, 0), at + 80)
+        pytest.fail(f"columns differ from rows at {at}: {got[around]!r} != {want[around]!r}")
+
+
+@settings(deadline=None, max_examples=150)
+@given(triangles(), chunks(), st.sampled_from([None, (-4.0, 7.5), (-0.0, 1.0), (-1e306, 1.7e308)]))
+@example(PseudoTfn.dependent(0.0, 1.0, 2.0), (3, 0, 3), (-0.0, 2.0))  # mu = -0.0 at x = -0.0
+def test_sample_columns_are_the_sample_rows(p, chunk, window):
+    count, start, stop = chunk
+    xmin, xmax = window or ptfn._default_window(p)
+    if not (xmin < xmax and xmax - xmin < math.inf):
+        return
+    same(lambda: ptfn._sample_columns(p, count, xmin, xmax, start, stop),
+         lambda: ptfn._sample_rows(p, count, xmin, xmax, start, stop))
+
+
+@pytest.mark.parametrize("start", [0, 1, 2**53 - 5, 2**53 - 3])
+@pytest.mark.parametrize("window", [(0.0, 1.0), (1e16, 1e16 + 64.0), (-1e306, 1.7e308)])
+def test_sample_columns_near_the_largest_count(start, window):
+    # near 2**53 rows, neighbouring xs of a narrow window repeat: the rows' error
+    p = PseudoTfn.dependent(0.0, 0.5, 1.0)
+    same(lambda: ptfn._sample_columns(p, 2**53, *window, start, start + 3),
+         lambda: ptfn._sample_rows(p, 2**53, *window, start, start + 3))
+
+
+@settings(deadline=None, max_examples=100)
+@given(triangles(), chunks())
+def test_cut_columns_are_the_cut_rows(p, chunk):
+    count, start, stop = chunk
+    same(lambda: arith._cut_columns(p, count - 1, start, stop),
+         lambda: arith._cut_rows(p, count - 1, start, stop))
+
+
+def products_match(op, p, q, chunk):
+    count, start, stop = chunk
+    same(lambda: arith._product_columns(op, p, q, count - 1, start, stop),
+         lambda: arith._product_rows(op, p, q, count - 1, start, stop))
+
+
+@settings(deadline=None, max_examples=300)
+@given(triangles(), triangles(), chunks())
+@example(PseudoTfn.dependent(-1e-200, 1e-300, 1e-200), PseudoTfn.dependent(1e-200, 1.5e-200, 2e-200),
+         (3, 0, 2))  # straddling cuts times positive ones, whose products underflow to signed zeros
+def test_product_columns_are_the_product_rows(p, q, chunk):
+    products_match("mul", p, q, chunk)
+    if not q.a <= 0.0 <= q.c:
+        products_match("div", p, q, chunk)
+
+
+# one operand per sign class of its cuts: above 0, below 0, straddling 0
+# throughout, touching 0 at a foot or the peak, and changing class mid-table
+SIGNED = {
+    "pos": (1.0, 2.0, 4.0), "neg": (-4.0, -2.0, -1.0),
+    "straddle": (-2.0, 0.5, 3.0), "straddle2": (-3.0, -0.25, 1.5),
+    "a0": (0.0, 1.0, 2.0), "c0": (-2.0, -1.0, 0.0), "b0": (-1.0, 0.0, 2.0),
+    "rises": (-1.0, 2.0, 3.0), "falls": (-3.0, -2.0, 1.0),
+    # products of these two underflow to zeros of either sign
+    "tiny": (-1e-200, 1e-300, 1e-200), "tinypos": (1e-200, 1.5e-200, 2e-200),
+}
+
+
+@pytest.mark.parametrize("count, start, stop", [(2, 0, 2), (11, 4, 9), (2 * CHUNK + 1, CHUNK, 2 * CHUNK + 1)])
+@pytest.mark.parametrize("u", SIGNED)
+@pytest.mark.parametrize("v", SIGNED)
+def test_product_columns_of_every_sign_class(u, v, count, start, stop):
+    p, q = PseudoTfn.dependent(*SIGNED[u]), PseudoTfn.dependent(*SIGNED[v])
+    products_match("mul", p, q, (count, start, stop))
+    if not q.a <= 0.0 <= q.c:
+        products_match("div", p, q, (count, start, stop))
+
+
+@pytest.mark.parametrize("p, q", [
+    ((-1e308, 1e308, 1.7e308), (1.0, 2.0, 3.0)),  # a side b - a overflows: the rows halve it
+    ((1e300, 1e301, 1e302), (1e10, 2e10, 3e10)),  # the products overflow: the rows' error
+    ((1.0, 2.0, 3.0), (5e-324, 1e-323, 2e-323)),  # the reciprocal of the divisor overflows
+    # products that overflow, and a divisor across 0, which _products rejects first
+    ((-1.7e308, 0.0, 1.7e308), (-1.0, 0.5, 1.0)),
+], ids=["side", "product", "reciprocal", "wide"])
+def test_product_columns_fall_back_to_the_rows(p, q):
+    p, q = PseudoTfn.dependent(*p), PseudoTfn.dependent(*q)
+    for count, start, stop in [(2, 0, 2), (11, 0, 11), (CHUNK + 1, 1, CHUNK + 1)]:
+        products_match("mul", p, q, (count, start, stop))
+        products_match("div", p, q, (count, start, stop))
+        same(lambda: arith._cut_columns(p, count - 1, start, stop),
+             lambda: arith._cut_rows(p, count - 1, start, stop))
+
+
+def nested_rows(rows_of, count, start, stop):
+    return arith._nested_rows(rows_of(max(start - 1, 0), stop), start, stop == count)
+
+
+@settings(deadline=None, max_examples=100)
+@given(triangles(), triangles(), chunks(), st.sampled_from(["mul", "div", "cut"]))
+def test_nested_columns_are_the_nested_rows(p, q, chunk, op):
+    count, start, stop = chunk
+    q = PseudoTfn(q.shape, p.kind)
+    if op == "div" and q.a <= 0.0 <= q.c:
+        return
+    if op == "cut":
+        columns_of, _ = arith._cuts(p, count)
+
+        def rows_of(first, end):
+            return arith._cut_rows(p, count - 1, first, end)
+    else:
+        columns_of, _ = arith._products(op, p, q, count)
+
+        def rows_of(first, end):
+            return arith._product_rows(op, p, q, count - 1, first, end)
+    same(lambda: arith._nested(columns_of, count)(start, stop),
+         lambda: nested_rows(rows_of, count, start, stop))
+
+
+def test_nested_columns_check_their_rows_with_slack():
+    # rows that nest only within the slack pass; rows beyond it fail as _nested_rows says
+    table = ([0.0, 0.5, 1.0], [0.0, -1e-12, 0.5], [1.0, 1.0 + 1e-12, 0.5])
+    nested = arith._nested(lambda start, stop: tuple(c[start:stop] for c in table), 3)
+    assert nested(0, 3) == table and nested(2, 3) == ([1.0], [0.5], [0.5])
+    table[1][1] = -1.0
+    with pytest.raises(arith.InvalidCutTable, match=r"^row 1 not nested inside row 0$"):
+        nested(0, 3)

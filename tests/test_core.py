@@ -101,7 +101,7 @@ class TestClassifyCase:
     def test_label_ordering(self):
         assert CaseLabel.A < CaseLabel.B < CaseLabel.C
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-9, math.nan, math.inf])
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, math.nan, math.inf, pytest.param(10**400, id="10**400")])
     def test_bad_tolerance(self, eps):
         with pytest.raises(BadTolerance):
             classify_case(MembershipPair(0.5, -0.5), eps)

@@ -364,8 +364,8 @@ def test_samples_of_a_finite_window_are_finite(xmin, xmax, n):
             bad_row(i, prev, x, mu, lam)
 
     with mock.patch.object(ptfn, "_bad_row", let_x_repeat):
-        rows_of, count = _sample(PseudoTfn.dependent(0.0, 1.0, 2.0), n, xmin, xmax)
-        xs = [x for x, _, _ in rows_of(0, count)]
+        columns_of, count = _sample(PseudoTfn.dependent(0.0, 1.0, 2.0), n, xmin, xmax)
+        xs = list(columns_of(0, count)[0])
     assert xs[0] == xmin and xs[-1] == xmax and xs == sorted(xs)
     assert all(map(math.isfinite, xs))
 

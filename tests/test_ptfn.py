@@ -6,6 +6,7 @@ from pseudofuzzy import (
     AlphaOutOfRange,
     BadCount,
     BadRange,
+    BadTolerance,
     BetaOutOfRange,
     CaseLabel,
     DiscretePseudoFuzzySet,
@@ -157,7 +158,7 @@ class TestAlphaCut:
     def test_interior(self):
         assert alpha_cut_mu(DEP, 0.5) == Interval(0.5, 1.5)
 
-    @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan])
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan, pytest.param(10**400, id="10**400")])
     def test_out_of_range(self, alpha):
         with pytest.raises(AlphaOutOfRange):
             alpha_cut_mu(DEP, alpha)
@@ -191,10 +192,32 @@ class TestBetaCut:
             assert got.lo == pytest.approx(want.lo, abs=1e-9)
             assert got.hi == pytest.approx(want.hi, abs=1e-9)
 
-    @pytest.mark.parametrize("beta", [0.5, -1.5, math.nan])
+    @pytest.mark.parametrize("beta", [0.5, -1.5, math.nan, pytest.param(-10**400, id="-10**400")])
     def test_out_of_range(self, beta):
         with pytest.raises(BetaOutOfRange):
             beta_cut_lambda(DEP, beta)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: alpha_cut_mu(DEP, 10**400), AlphaOutOfRange, "alpha must lie in [0, 1], got inf"),
+    (lambda: alpha_cut_mu(DEP, math.nan), AlphaOutOfRange, "alpha must lie in [0, 1], got nan"),
+    (lambda: alpha_cut_mu(DEP, "x"), TypeError, "alpha must be a real number, got str"),
+    (lambda: beta_cut_lambda(DEP, -10**400), BetaOutOfRange, "beta must lie in [-1, 0], got -inf"),
+    (lambda: beta_cut_lambda(DEP, None), TypeError, "beta must be a real number, got NoneType"),
+    (lambda: parametric_point(DEP, 0.5, 10**400), ParamOutOfRange, "s must lie in [0, 1], got inf"),
+    (lambda: parametric_point(DEP, "r", 0.5), TypeError, "r must be a real number, got str"),
+    (lambda: classify_case(MembershipPair(0.5, -0.5), 10**400), BadTolerance,
+     "eps must be a finite positive real, got inf"),
+    (lambda: classify_case(MembershipPair(0.5, -0.5), [1e-9]), TypeError,
+     "eps must be a real number, got list"),
+], ids=["alpha-10**400", "alpha-nan", "alpha-str", "beta--10**400", "beta-None", "s-10**400",
+        "r-str", "eps-10**400", "eps-list"])
+def test_library_scalars_convert_as_finite_checks_do(call, error, message):
+    # an int beyond the float range is read as inf, as 1e400 is, and the
+    # scalar's own range check reports it; a value that is no number is a TypeError
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestParametricPoint:
@@ -212,7 +235,8 @@ class TestParametricPoint:
         xs = [parametric_point(DEP, 0.25, s / 10) for s in range(11)]
         assert xs == sorted(xs)
 
-    @pytest.mark.parametrize("r,s", [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)])
+    @pytest.mark.parametrize("r,s", [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1),
+                                     pytest.param(0.5, 10**400, id="0.5-10**400")])
     def test_out_of_range(self, r, s):
         with pytest.raises(ParamOutOfRange):
             parametric_point(DEP, r, s)

@@ -272,7 +272,7 @@ def test_write_rows_formats_each_value_as_fmt(rows, count, head):
     rows = (rows * (count // len(rows) + 1))[:count]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._write_rows(head, lambda start, stop: rows[start:stop], count)
+        cli._write_rows(head, lambda start, stop: tuple(zip(*rows[start:stop])), count)
     text = out.getvalue()
     assert text.startswith(head)
     lines = text[len(head):].split("\n")
