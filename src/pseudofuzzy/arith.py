@@ -5,14 +5,12 @@ PseudoTfn with the closed-form shape. Products and quotients of triangles
 are not triangular; mul and div therefore return a CutTable: interval
 endpoints tabulated at equally spaced levels in [0, 1]. A table is
 computed a chunk of rows at a time, from any row to any other, as
-(alphas, los, his) float columns: the cuts of each operand by their two
-linear branches, and the least and greatest of their four endpoint
-products. Each chunk is checked as columns; one that fails, or that the
-columns do not cover, is computed by the row loop (_cut_rows,
-_product_rows) with the same floats, which raises the error of its first
-bad row. cut_table, mul and div collect all rows into a CutTable, and
-the CLI writes them a chunk at a time. _nested_rows holds the rules of a
-table for both.
+(alphas, los, his) float columns: the cuts of each operand with _cut's
+floats, and the least and greatest of their four endpoint products. Each
+chunk is checked as columns, and one that fails raises the error of its
+first bad row. cut_table, mul and div collect all rows into a CutTable,
+and the CLI writes them a chunk at a time. _nested_rows holds the rules
+of a table for both.
 
 All positive-membership machinery is kind-agnostic; the negative grade of
 any result is recovered from the kind identity (lam = mu - 1 dependent,
@@ -59,13 +57,12 @@ from .ptfn import (
     _lam,
     _require_kind,
     _rows,
-    _transposed,
     mu_at,
 )
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable, Iterator, NoReturn, Optional
+    from typing import Iterable, Iterator, NoReturn
 
     import numpy as np
 
@@ -245,24 +242,14 @@ def scale(p: PseudoTfn, k: float) -> PseudoTfn:
         raise NonFinite(f"scale overflows on {_feet(p)} * {k!r}: {exc}") from None
 
 
-def _overflow(op: str, alpha: float, p: PseudoTfn, q: Optional[PseudoTfn] = None) -> NoReturn:
-    """Raise the error of the row of op at alpha, which failed its inline check.
-
-    A cut that is not a finite interval (p's for cut_table, p's then q's
-    for mul, the divisor q's for div) is reported as Interval reports it;
-    past those, the product or the quotient is not finite.
-    """
-    operands = {"cut_table": (p,), "mul": (p, q), "div": (q,)}[op]
-    try:
-        cuts = [Interval(*_cut(t.a, t.b, t.c, alpha)) for t in operands]
-    except NonFinite as exc:
-        raise NonFinite(f"{op} overflows at alpha={alpha!r}: {exc}") from None
+def _overflow(op: str, alpha: float, p: PseudoTfn, q: PseudoTfn) -> NoReturn:
+    """Raise the error of the row of op at alpha, whose product (mul) or quotient (div) is not finite."""
+    ulo, uhi = _cut(p.a, p.b, p.c, alpha)
+    vlo, vhi = _cut(q.a, q.b, q.c, alpha)
     if op == "mul":
-        u, v = cuts
-        reason = f"product of cuts [{u.lo!r}, {u.hi!r}] and [{v.lo!r}, {v.hi!r}] is not finite"
+        reason = f"product of cuts [{ulo!r}, {uhi!r}] and [{vlo!r}, {vhi!r}] is not finite"
     else:
-        (v,) = cuts
-        reason = f"quotient by divisor cut [{v.lo!r}, {v.hi!r}] is not finite"
+        reason = f"quotient by divisor cut [{vlo!r}, {vhi!r}] is not finite"
     raise NonFinite(f"{op} overflows at alpha={alpha!r}: {reason}")
 
 
@@ -276,26 +263,32 @@ def _levels(last: int, start: int, stop: int) -> list[float]:
     return [j / last for j in range(start, stop)]
 
 
-def _side(p: PseudoTfn, alphas: list[float]) -> Optional[Side]:
-    """The (los, his) columns of _cut of p at each of alphas, or None.
+def _side(p: PseudoTfn, alphas: list[float]) -> Side:
+    """The (los, his) columns of _cut of p at each of alphas, which rise.
 
-    None if _cut does more than its two linear branches at one of them:
-    halves a side that overflows, or takes the midpoint of endpoints that
-    rounding inverted. Below alpha = 1, lo rises and hi falls with alpha,
-    so the first row and the last such row bound the rest: if they are
-    finite and ordered, so is every row.
+    Where a side b - a or c - b overflows, the triangle is halved, which is
+    exact, and its cuts doubled, as _cut does. Then every cut is finite,
+    and lo lies in [a, b] and hi in [b, c]: lo rises and hi falls with
+    alpha, so only a suffix of rows could hold endpoints that rounding
+    inverted, which take their midpoint, as in _cut.
     """
     a, b, c, inf = p.a, p.b, p.c, math.inf
+    half = not (b - a < inf and c - b < inf)
+    if half:
+        a, b, c = 0.5 * a, 0.5 * b, 0.5 * c
     left, right = b - a, c - b
-    if not (left < inf and right < inf):
-        return None
     los = [a + alpha * left for alpha in alphas]
     his = [c - alpha * right for alpha in alphas]
-    ordered = los[-1] <= his[-1]
-    if alphas[-1] == 1.0:  # only the last level can be 1, where the cut is the peak
-        ordered = len(alphas) < 2 or los[-2] <= his[-2]
-        los[-1] = his[-1] = b
-    return (los, his) if -inf < los[0] and his[0] < inf and ordered else None
+    k = len(alphas)
+    while k and los[k - 1] > his[k - 1]:
+        k -= 1
+        los[k] = his[k] = 0.5 * (los[k] + his[k])
+    if half:
+        los = [2.0 * lo for lo in los]
+        his = [2.0 * hi for hi in his]
+    if alphas and alphas[-1] == 1.0:  # only the last level can be 1, where the cut is the peak
+        los[-1] = his[-1] = p.b
+    return los, his
 
 
 def _cuts(p: PseudoTfn, levels: int) -> tuple[ColumnsOf, int]:
@@ -308,27 +301,9 @@ def _cuts(p: PseudoTfn, levels: int) -> tuple[ColumnsOf, int]:
 
 
 def _cut_columns(p: PseudoTfn, last: int, start: int, stop: int) -> Columns:
-    """The rows start to stop - 1 of _cut_rows, as (alphas, los, his) columns.
-
-    A chunk whose cuts _side does not compute is _cut_rows's, which raises
-    the error of the first row that overflows.
-    """
+    """The (alphas, los, his) columns of the alpha-cuts of p at levels j / last, j from start to stop - 1."""
     alphas = _levels(last, start, stop)
-    side = _side(p, alphas) if alphas else None
-    if side is None:
-        return _transposed(_cut_rows(p, last, start, stop))
-    return alphas, *side
-
-
-def _cut_rows(p: PseudoTfn, last: int, start: int, stop: int) -> Iterator[Row]:
-    """Yield (alpha, lo, hi): the alpha-cuts of p at levels j / last, j from start to stop - 1."""
-    a, b, c, inf = p.a, p.b, p.c, math.inf
-    for j in range(start, stop):
-        alpha = j / last
-        lo, hi = _cut(a, b, c, alpha)
-        if not -inf < lo <= hi < inf:
-            _overflow("cut_table", alpha, p)
-        yield alpha, lo, hi
+    return alphas, *_side(p, alphas)
 
 
 def _products(op: str, p: PseudoTfn, q: PseudoTfn, levels: int) -> tuple[ColumnsOf, int]:
@@ -347,28 +322,29 @@ def _products(op: str, p: PseudoTfn, q: PseudoTfn, levels: int) -> tuple[Columns
 def _product_columns(
     op: str, p: PseudoTfn, q: PseudoTfn, last: int, start: int, stop: int
 ) -> Columns:
-    """The rows start to stop - 1 of _product_rows, as (alphas, los, his) columns.
+    """The (alphas, los, his) columns of p * q (mul) or p / q (div) at levels j / last, j from start to stop - 1.
 
-    Each row's lo and hi are the least and the greatest of its four
-    endpoint products, ties kept first as in _product_rows, so signed
-    zeros match too. A chunk whose cuts or products are not finite
-    intervals is _product_rows's, which raises the error of its first row.
+    Each row's lo and hi are the least and the greatest of the four
+    products of the endpoints of p's cut and of q's (mul) or its
+    reciprocal (div), ties kept first as min() and max() keep them, so
+    signed zeros are theirs too. A chunk that holds a row whose reciprocal
+    or product is not finite raises _overflow's error at the first.
     """
     alphas = _levels(last, start, stop)
-    u = _side(p, alphas) if alphas else None
-    v = _side(q, alphas) if alphas else None
-    if op == "div" and v is not None:
-        # a divisor's cuts lie in its support, clear of 0: their reciprocals
-        # are ordered, and finite if that of the foot nearest 0 is
+    u, v = _side(p, alphas), _side(q, alphas)
+    if op == "div" and alphas:
+        # cuts shrink toward the peak as alpha rises, so the rows whose
+        # divisor cut holds 0 or has a reciprocal that overflows come first:
+        # if the chunk's first row has an ordered, finite reciprocal, every row has
         vlo, vhi = v
-        near = q.a if q.a > 0.0 else q.c
-        clear = (q.a > 0.0 or q.c < 0.0) and -math.inf < 1.0 / near < math.inf
-        v = ([1.0 / y for y in vhi], [1.0 / y for y in vlo]) if clear else None
+        if not -math.inf < 1.0 / vhi[0] <= 1.0 / vlo[0] < math.inf:
+            _overflow(op, alphas[0], p, q)
+        v = [1.0 / y for y in vhi], [1.0 / y for y in vlo]
         del vlo, vhi
-    if u is None or v is None:
-        return _transposed(_product_rows(op, p, q, last, start, stop))
     los, his = [], []
     for ulo, uhi, vlo, vhi in zip(*u, *v):
+        # min() and max() of the products without their call cost: on
+        # finite cuts no product is NaN
         lo = hi = ulo * vlo
         for product in (ulo * vhi, uhi * vlo, uhi * vhi):
             if product < lo:
@@ -378,40 +354,11 @@ def _product_columns(
         los.append(lo)
         his.append(hi)
     del u, v
-    # no product of finite cuts is NaN, and lo <= hi in every row: min and max bound them
-    if not (-math.inf < min(los) and max(his) < math.inf):
-        return _transposed(_product_rows(op, p, q, last, start, stop))
+    # lo <= hi in every row: min and max bound them
+    if alphas and not (-math.inf < min(los) and max(his) < math.inf):
+        first = next(i for i, (lo, hi) in enumerate(zip(los, his)) if not -math.inf < lo <= hi < math.inf)
+        _overflow(op, alphas[first], p, q)
     return alphas, los, his
-
-
-def _product_rows(
-    op: str, p: PseudoTfn, q: PseudoTfn, last: int, start: int, stop: int
-) -> Iterator[Row]:
-    """Yield (alpha, lo, hi) at levels j / last, j from start to stop - 1: the
-    extremes of the four endpoint products of p's cut and q's (mul) or its
-    reciprocal (div), one row at a time.
-
-    A divisor's feet share a sign, so its cuts are finite and not 0.
-    """
-    div, inf = op == "div", math.inf
-    pa, pb, pc, qa, qb, qc = p.a, p.b, p.c, q.a, q.b, q.c
-    for j in range(start, stop):
-        alpha = j / last
-        ulo, uhi = _cut(pa, pb, pc, alpha)
-        vlo, vhi = _cut(qa, qb, qc, alpha)
-        if div:
-            vlo, vhi = 1.0 / vhi, 1.0 / vlo
-        # min() and max() of the products without their call cost: on
-        # finite cuts no product is NaN, and ties keep the first, as there
-        lo = hi = ulo * vlo
-        for product in (ulo * vhi, uhi * vlo, uhi * vhi):
-            if product < lo:
-                lo = product
-            elif product > hi:
-                hi = product
-        if not (-inf < ulo <= uhi < inf and -inf < vlo <= vhi < inf and -inf < lo <= hi < inf):
-            _overflow(op, alpha, p, q)
-        yield alpha, lo, hi
 
 
 def cut_table(p: PseudoTfn, levels: int = DEFAULT_LEVELS) -> CutTable:

@@ -261,17 +261,18 @@ def _unique_fields(pairs: list[tuple[str, object]]) -> dict[str, object]:
 
 def parse_ptfn(text: str | bytes) -> PseudoTfn:
     """Parse a JSON PTFN document; unknown or missing fields are rejected."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DocumentError(f"input is not UTF-8: {exc}") from None
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         # an integer too large for a float is read as inf, as 1e400 is: float() of it raises
         doc = json.loads(text, object_pairs_hook=_unique_fields,
                          parse_int=lambda s: int(s) if math.isfinite(float(s)) else float(s))
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"input is not UTF-8: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"malformed JSON: {exc}") from None
+    except MemoryError:
+        raise DocumentError("cannot parse JSON: out of memory") from None
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     missing = [f for f in _DOCUMENT_FIELDS if f not in doc]
@@ -318,6 +319,8 @@ def _read_bytes(path: str) -> bytes:
         return data
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
+    except MemoryError:
+        raise DocumentError(f"cannot read {path}: out of memory") from None
     except UnicodeError as exc:  # a lone surrogate in a swapped-in text stream fails to encode
         raise DocumentError(f"input is not UTF-8: {exc}") from None
 
@@ -563,12 +566,26 @@ def cmd_verify(args: argparse.Namespace) -> _Output:
     return _given(("ok" if violation is None else f"violation at x={_fmt(violation)}") + "\n")
 
 
+class _NegativeNumber:
+    """argparse's negative-number matcher: "-" and then anything float() reads."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        if not text.startswith("-"):
+            return False
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
-    """Takes "-7.7e-05" for a negative number, not an option; subparsers inherit it."""
+    """Takes "-7.7e-05", "-inf" and "-nan" for negative numbers, not options; subparsers inherit it."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = _NegativeNumber
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -24,8 +24,8 @@ peak value 1 taken at x == b. a == b == c is rejected at construction.
 
 Sampled curves are computed a chunk of rows at a time, as (xs, mus, lams)
 columns: mu by one branch of the hat on each run of the sorted xs between
-a, b and c. The columns are checked whole; the row loop, with the same
-floats, computes a chunk that fails and names its first bad row.
+a, b and c, with _mu's floats. The columns are checked whole, and a chunk
+that fails names its first bad row.
 """
 
 from __future__ import annotations
@@ -302,82 +302,62 @@ def _sample(
 
 
 def _sample_columns(p: PseudoTfn, n: int, xmin: float, xmax: float, start: int, stop: int) -> Columns:
-    """The rows start to stop - 1 of _sample_rows, as (xs, mus, lams) columns.
+    """The rows start to stop - 1 of _sample's n rows, as (xs, mus, lams) columns.
 
-    Each column is computed with the loop's floats, a column at a time,
-    and checked whole: x rises strictly from row start - 1 and stays
-    finite, mu lies in [0, 1] and lam in [-1, 0] (on finite xs and sides
-    neither is NaN, so min and max bound them). The rows of a chunk that
-    fails, or of a triangle with a side b - a or c - b that overflows, are
-    _sample_rows's, which raises the error of the first bad row.
+    Row i's x is xmin + (i * step) / (n - 1) * scale, the last one xmax.
+    mu is _mu's, one branch of the hat on each run of the sorted xs between
+    a, b and c; where a side b - a or c - b overflows, the triangle and the
+    xs are halved first, as _mu halves them. lam is _lam's. The columns are
+    checked whole: x rises strictly from row start - 1 and stays finite,
+    mu lies in [0, 1] and lam in [-1, 0] (on finite xs and sides neither is
+    NaN, so min and max bound them). In a chunk that fails, core._bad_row
+    is called on each row that fails core's one row check, in order, and
+    raises the error of the first.
     """
     if start >= stop:
         return [], [], []
     a, b, c, inf = p.a, p.b, p.c, math.inf
     span, last = xmax - xmin, n - 1
-    scale = 1.0 if span * last < inf else 2.0 ** last.bit_length()  # as in _sample_rows
+    # 1.0 changes no bits; past the float range, a power of two keeps i * step finite
+    scale = 1.0 if span * last < inf else 2.0 ** last.bit_length()
     step = span / scale
+    # the x of row start - 1, which the formula gives for every row but the last
     prev = xmin + ((start - 1) * step) / last * scale if start else -inf
-    xs = [xmin + (i * step) / last * scale for i in range(start, stop)]
-    if stop == n:
-        xs[-1] = xmax
-    left, right = b - a, c - b
-    if not (
-        left < inf and right < inf  # else _mu halves the triangle
-        and xs[0] > prev and xs[-1] < inf and all(map(lt, xs, islice(xs, 1, None)))
-    ):
-        return _transposed(_sample_rows(p, n, xmin, xmax, start, stop))
-    # the xs are sorted: _mu takes one branch on each run of them between a, b and c
+    # rows by the formula: monotone in i, so sorted, as the runs need
+    xs = [xmin + (i * step) / last * scale for i in range(start, min(stop, last))]
+    ha, hb, hc, hxs = a, b, c, xs
+    if not (b - a < inf and c - b < inf):  # a side overflows: halve, which is exact
+        ha, hb, hc, hxs = 0.5 * a, 0.5 * b, 0.5 * c, [0.5 * x for x in xs]
+    left, right = hb - ha, hc - hb
     ia = bisect_left(xs, a)
     ib = bisect_left(xs, b, ia)
     jb = bisect_right(xs, b, ib)
     jc = bisect_right(xs, c, jb)
     mus = [0.0] * ia
-    mus += [(x - a) / left for x in islice(xs, ia, ib)]
+    mus += [(x - ha) / left for x in islice(hxs, ia, ib)]
     mus += repeat(1.0, jb - ib)
-    mus += [(c - x) / right for x in islice(xs, jb, jc)]
-    mus += repeat(0.0, stop - start - jc)
+    mus += [(hc - x) / right for x in islice(hxs, jb, jc)]
+    mus += repeat(0.0, len(xs) - jc)
+    del hxs
+    if stop == n:  # the last row is xmax, which may fall at or below the formula's row before it
+        xs.append(xmax)
+        mus.append(_mu(a, b, c, xmax))
     lams = list(_lams(p.kind, mus))
-    if not (0.0 <= min(mus) and max(mus) <= 1.0 and -1.0 <= min(lams) and max(lams) <= 0.0):
-        return _transposed(_sample_rows(p, n, xmin, xmax, start, stop))
+    if not (
+        xs[0] > prev and xs[-1] < inf and all(map(lt, xs, islice(xs, 1, None)))
+        and 0.0 <= min(mus) and max(mus) <= 1.0 and -1.0 <= min(lams) and max(lams) <= 0.0
+    ):
+        for i, x, mu, lam in zip(range(start, stop), xs, mus, lams):
+            if not (-inf < x < inf and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0 and x > prev):
+                _bad_row(i, prev, x, mu, lam)
+            prev = x
     return xs, mus, lams
-
-
-def _transposed(rows: Iterable[Sequence[float]]) -> tuple[list[float], list[float], list[float]]:
-    """The three columns of rows of three values, each a list."""
-    columns = tuple(map(list, zip(*rows)))
-    return columns or ([], [], [])
 
 
 def _rows(columns_of: ColumnsOf, count: int) -> Iterator[tuple[float, float, float]]:
     """The rows 0 to count - 1 of columns_of, computed _CHUNK_ROWS at a time."""
     for start in range(0, count, _CHUNK_ROWS):
         yield from zip(*columns_of(start, min(start + _CHUNK_ROWS, count)))
-
-
-def _sample_rows(p: PseudoTfn, n: int, xmin: float, xmax: float, start: int, stop: int) -> Iterator:
-    """Yield the rows start to stop - 1 of _sample's n rows, one at a time.
-
-    Each row passes core's one row check, made inline (x after the
-    previous row's x); core._bad_row explains a row that fails it. The
-    column kernel _sample_columns computes the same floats; this loop
-    takes the chunks it leaves.
-    """
-    a, b, c, kind, inf = p.a, p.b, p.c, p.kind, math.inf
-    span, last = xmax - xmin, n - 1
-    # 1.0 changes no bits; past the float range, a power of two keeps i * step finite
-    scale = 1.0 if span * last < inf else 2.0 ** last.bit_length()
-    step = span / scale
-    # the x of row start - 1, by the formula of the loop, which takes it for i < last
-    prev = xmin + ((start - 1) * step) / last * scale if start else -inf
-    for i in range(start, stop):
-        x = xmin + (i * step) / last * scale if i < last else xmax
-        mu = _mu(a, b, c, x)
-        lam = _lam(kind, mu)
-        if not (-inf < x < inf and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0 and x > prev):
-            _bad_row(i, prev, x, mu, lam)
-        yield x, mu, lam
-        prev = x
 
 
 def discretize(p: PseudoTfn, n: int, xmin: float, xmax: float) -> DiscretePseudoFuzzySet:

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -15,6 +16,11 @@ from conftest import run_cli
 
 from pseudofuzzy import CaseLabel, classify_case, cli, discretize, validate_pair
 from pseudofuzzy.cli import parse_ptfn
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -85,6 +91,10 @@ ERROR_CASES = [
     # verify has no --grid: a number is never sampled, and a table brings its own rows
     (["verify", DEP, "--grid", "101"], None, 2),
     (["verify", TAMPERED, "--table", "--kind", "dependent", "--grid", "1"], None, 2),
+    # "-" and anything float() reads is a negative number, not an option: these are read, then rejected
+    (["eval", DEP, "-inf"], None, 3),
+    (["classify", "0.5", "-nan"], None, 3),
+    (["curve", DEP, "--xmin", "-inf"], None, 3),
 ]
 
 # negative numbers in exponent form are values, not option flags
@@ -191,6 +201,45 @@ def test_closed_stdin_exits_2_without_traceback(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", None)  # as Python sets it when descriptor 0 is closed
     assert cli.main(["eval", "-", "1"]) == 2
     assert capsys.readouterr() == ("", "error: cannot read -: stdin is closed\n")
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS") or not os.path.exists("/proc/self/status"),
+                    reason="no address-space limit or no /proc on this platform")
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_read_that_runs_out_of_memory_exits_2(tmp_path, source):
+    # the CLI runs under an address-space limit 16 MiB above the peak of a
+    # probe child of the same interpreter that imports it; the input is a
+    # 64 MiB sparse file, whose read cannot fit under the limit
+    probe = subprocess.run([sys.executable, "-c", "import pseudofuzzy.cli; print(open('/proc/self/status').read())"],
+                           capture_output=True, text=True, check=True)
+    limit = (int(re.search(r"^VmPeak:\s+(\d+) kB$", probe.stdout, re.M).group(1)) << 10) + (16 << 20)
+
+    def run(argv, stdin=None):
+        return subprocess.run([sys.executable, "-m", "pseudofuzzy", *argv], stdin=stdin, capture_output=True,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+    small = tmp_path / "small.csv"
+    small.write_bytes(b"x,mu,lambda\n0,0,-1\n")
+    assert run(["verify", str(small), "--table", "--kind", "dependent"]).stdout == b"ok\n"
+    big = tmp_path / "big.csv"
+    with open(big, "wb") as handle:
+        handle.truncate(64 << 20)
+    if source == "file":
+        result, path = run(["verify", str(big), "--table", "--kind", "dependent"]), str(big)
+    else:
+        with open(big, "rb") as handle:
+            result, path = run(["verify", "-", "--table", "--kind", "dependent"], handle), "-"
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == f"error: cannot read {path}: out of memory\n".encode()
+
+
+def test_a_json_parse_that_runs_out_of_memory_exits_2(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.json, "loads", out_of_memory)
+    assert cli.main(["eval", DEP, "1"]) == 2
+    assert capsys.readouterr() == ("", "error: cannot parse JSON: out of memory\n")
 
 
 @pytest.mark.parametrize("count", [str(2**53 + 1), str(10**400)], ids=["2**53+1", "10**400"])

@@ -1,6 +1,7 @@
 """The column kernels compute the rows of the row kernels: for any chunk,
 columns_of(start, stop) is the transposed rows, bit for bit (signed zeros
-included), or the same error. The row kernels are the oracle."""
+included), or the same error. The row kernels of tests/rows.py are the
+oracle."""
 
 import math
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pseudofuzzy import Kind, PseudoTfn, arith, ptfn
+from pseudofuzzy import Kind, PseudoTfn, TriangleShape, arith, ptfn
+from pseudofuzzy.errors import NonFinite
+from rows import _cut_rows, _product_rows, _sample_rows, _transposed
 
 CHUNK = ptfn._CHUNK_ROWS
 COUNTS = [2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 3 * CHUNK + 1]
@@ -51,7 +54,7 @@ def outcome(compute):
 
 
 def rows_outcome(rows):
-    return outcome(lambda: ptfn._transposed(list(rows())))
+    return outcome(lambda: _transposed(list(rows())))
 
 
 def same(columns, rows):
@@ -71,7 +74,7 @@ def test_sample_columns_are_the_sample_rows(p, chunk, window):
     if not (xmin < xmax and xmax - xmin < math.inf):
         return
     same(lambda: ptfn._sample_columns(p, count, xmin, xmax, start, stop),
-         lambda: ptfn._sample_rows(p, count, xmin, xmax, start, stop))
+         lambda: _sample_rows(p, count, xmin, xmax, start, stop))
 
 
 @pytest.mark.parametrize("start", [0, 1, 2**53 - 5, 2**53 - 3])
@@ -80,7 +83,7 @@ def test_sample_columns_near_the_largest_count(start, window):
     # near 2**53 rows, neighbouring xs of a narrow window repeat: the rows' error
     p = PseudoTfn.dependent(0.0, 0.5, 1.0)
     same(lambda: ptfn._sample_columns(p, 2**53, *window, start, start + 3),
-         lambda: ptfn._sample_rows(p, 2**53, *window, start, start + 3))
+         lambda: _sample_rows(p, 2**53, *window, start, start + 3))
 
 
 @settings(deadline=None, max_examples=100)
@@ -88,13 +91,13 @@ def test_sample_columns_near_the_largest_count(start, window):
 def test_cut_columns_are_the_cut_rows(p, chunk):
     count, start, stop = chunk
     same(lambda: arith._cut_columns(p, count - 1, start, stop),
-         lambda: arith._cut_rows(p, count - 1, start, stop))
+         lambda: _cut_rows(p, count - 1, start, stop))
 
 
 def products_match(op, p, q, chunk):
     count, start, stop = chunk
     same(lambda: arith._product_columns(op, p, q, count - 1, start, stop),
-         lambda: arith._product_rows(op, p, q, count - 1, start, stop))
+         lambda: _product_rows(op, p, q, count - 1, start, stop))
 
 
 @settings(deadline=None, max_examples=300)
@@ -142,7 +145,47 @@ def test_product_columns_fall_back_to_the_rows(p, q):
         products_match("mul", p, q, (count, start, stop))
         products_match("div", p, q, (count, start, stop))
         same(lambda: arith._cut_columns(p, count - 1, start, stop),
-             lambda: arith._cut_rows(p, count - 1, start, stop))
+             lambda: _cut_rows(p, count - 1, start, stop))
+
+
+# triangles with a side b - a or c - b that overflows: _mu and _cut halve them, and the column kernels must too
+OVERFLOWING = {"left": (-1e308, 1e308, 1.5e308), "right": (-1.5e308, -1e308, 1e308)}
+# whole tables of 2 and 101 rows, a chunk from mid-table to the table's end, and one inside a table
+OVERFLOWING_CHUNKS = [(2, 0, 2), (101, 0, 101), (2 * CHUNK + 1, CHUNK + 7, 2 * CHUNK + 1),
+                      (2 * CHUNK + 1, CHUNK // 2 + 3, CHUNK + 100)]
+
+
+@pytest.mark.parametrize("chunk", OVERFLOWING_CHUNKS, ids=["2", "101", "tail", "middle"])
+@pytest.mark.parametrize("window", [(-8e307, 8e307), (5e307, 1.4e308), (-1.4e308, -5e307)])
+@pytest.mark.parametrize("kind", list(Kind), ids=[kind.value for kind in Kind])
+@pytest.mark.parametrize("side", OVERFLOWING)
+def test_sample_columns_of_an_overflowing_side(side, kind, window, chunk):
+    p = PseudoTfn(TriangleShape(*OVERFLOWING[side]), kind)
+    count, start, stop = chunk
+    same(lambda: ptfn._sample_columns(p, count, *window, start, stop),
+         lambda: _sample_rows(p, count, *window, start, stop))
+
+
+@pytest.mark.parametrize("kind", list(Kind), ids=[kind.value for kind in Kind])
+@pytest.mark.parametrize("side", OVERFLOWING)
+def test_default_window_of_an_overflowing_side_is_rejected(side, kind):
+    # its width c - a overflows too, so no chunk of it is ever sampled
+    p = PseudoTfn(TriangleShape(*OVERFLOWING[side]), kind)
+    with pytest.raises(NonFinite, match=r"^xmin must be finite, got -inf$"):
+        ptfn._sample(p, 101, *ptfn._default_window(p))
+
+
+@pytest.mark.parametrize("chunk", OVERFLOWING_CHUNKS, ids=["2", "101", "tail", "middle"])
+@pytest.mark.parametrize("side", OVERFLOWING)
+def test_tables_of_an_overflowing_side(side, chunk):
+    # operands whose products stay finite, so each table is rows, not an error
+    p, small = PseudoTfn.dependent(*OVERFLOWING[side]), PseudoTfn.dependent(0.25, 0.5, 0.75)
+    count, start, stop = chunk
+    same(lambda: arith._cut_columns(p, count - 1, start, stop),
+         lambda: _cut_rows(p, count - 1, start, stop))
+    products_match("mul", p, small, chunk)
+    products_match("mul", small, p, chunk)
+    products_match("div", p, PseudoTfn.dependent(2.0, 4.0, 8.0), chunk)
 
 
 def nested_rows(rows_of, count, start, stop):
@@ -160,12 +203,12 @@ def test_nested_columns_are_the_nested_rows(p, q, chunk, op):
         columns_of, _ = arith._cuts(p, count)
 
         def rows_of(first, end):
-            return arith._cut_rows(p, count - 1, first, end)
+            return _cut_rows(p, count - 1, first, end)
     else:
         columns_of, _ = arith._products(op, p, q, count)
 
         def rows_of(first, end):
-            return arith._product_rows(op, p, q, count - 1, first, end)
+            return _product_rows(op, p, q, count - 1, first, end)
     same(lambda: arith._nested(columns_of, count)(start, stop),
          lambda: nested_rows(rows_of, count, start, stop))
 
