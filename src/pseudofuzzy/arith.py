@@ -6,11 +6,12 @@ are not triangular; mul and div therefore return a CutTable: interval
 endpoints tabulated at equally spaced levels in [0, 1]. A table is
 computed a chunk of rows at a time, from any row to any other, as
 (alphas, los, his) float columns: the cuts of each operand with _cut's
-floats, and the least and greatest of their four endpoint products. Each
-chunk is checked as columns, and one that fails raises the error of its
-first bad row. cut_table, mul and div collect all rows into a CutTable,
-and the CLI writes them a chunk at a time. _nested_rows holds the rules
-of a table for both.
+floats, and the least and greatest of their four endpoint products. A
+chunk with a product that is not finite raises the error of its first
+such row. cut_table, mul and div collect all rows into a CutTable, whose
+rules _nested_rows checks, and the CLI writes them a chunk at a time.
+Rounding keeps the rows of a computed table by those rules, levels
+rising and cuts nested without slack, so the CLI checks none of them.
 
 All positive-membership machinery is kind-agnostic; the negative grade of
 any result is recovered from the kind identity (lam = mu - 1 dependent,
@@ -29,8 +30,6 @@ import enum
 import math
 import operator
 from bisect import bisect_left
-from itertools import islice, repeat
-from operator import ge, le, lt
 
 from .core import (
     _MAX_COUNT,
@@ -62,7 +61,7 @@ from .ptfn import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable, Iterator, NoReturn
+    from typing import Iterable, NoReturn
 
     import numpy as np
 
@@ -115,8 +114,7 @@ class CutTable(_Frozen):
                 raise TypeError(f"row {i}: interval must be an Interval, got {found}")
         rows = tuple((float(alpha), interval) for alpha, interval in rows)
         _set(self, "rows", rows)
-        for _ in _nested_rows((alpha, interval.lo, interval.hi) for alpha, interval in rows):
-            pass
+        _nested_rows((alpha, interval.lo, interval.hi) for alpha, interval in rows)
 
     @property
     def alphas(self) -> tuple[float, ...]:
@@ -127,20 +125,15 @@ class CutTable(_Frozen):
         return self.rows[0][1]
 
 
-def _nested_rows(rows: Iterable[Row], start: int = 0, end: bool = True) -> Iterator[Row]:
-    """Pass (alpha, lo, hi) rows through, checking the rules of a CutTable.
+def _nested_rows(rows: Iterable[Row]) -> None:
+    """Check (alpha, lo, hi) rows by the rules of a CutTable.
 
     Levels start at 0, rise strictly and end at 1; each row nests inside
-    the one before it. A row is checked before it is passed on. The rows
-    are a table's from row start on; past row 0 they begin with row
-    start - 1, which seeds the checks and is not passed on. If end, they
-    run to the table's end, and the row count and the last level are
-    checked once they run out.
+    the one before it, within a slack for rounding. The first row that
+    breaks a rule raises its error, and the row count and the last level
+    are checked once the rows run out.
     """
-    rows = iter(rows)
-    count = start
-    if start:
-        last, outer_lo, outer_hi = next(rows)
+    count = 0
     for alpha, lo, hi in rows:
         if count == 0:
             if alpha != 0.0:
@@ -153,43 +146,12 @@ def _nested_rows(rows: Iterable[Row], start: int = 0, end: bool = True) -> Itera
             slack = DEFAULT_EPS * max(1.0, abs(outer_lo), abs(outer_hi))
             if not (lo >= outer_lo - slack and hi <= outer_hi + slack):
                 raise InvalidCutTable(f"row {count} not nested inside row {count - 1}")
-        yield alpha, lo, hi
         last, outer_lo, outer_hi = alpha, lo, hi
         count += 1
-    if not end:
-        return
     if count < 2:
         raise InvalidCutTable(f"need at least 2 rows, got {count}")
     if last != 1.0:
         raise InvalidCutTable("levels must start at 0 and end at 1")
-
-
-def _nested(columns_of: ColumnsOf, count: int) -> ColumnsOf:
-    """columns_of of a table of count rows, each chunk checked by the rules of _nested_rows.
-
-    A chunk whose levels rise strictly and whose cuts nest without slack
-    passes as it is; _nested_rows checks any other, and raises its error
-    or passes it with slack.
-    """
-
-    def nested_columns(start: int, stop: int) -> Columns:
-        # row start - 1, computed again, seeds the checks of row start
-        first = max(start - 1, 0)
-        alphas, los, his = columns_of(first, stop)
-        end = stop == count
-        if not (
-            (start or alphas[0] == 0.0) and (not end or (stop >= 2 and alphas[-1] == 1.0))
-            and all(map(lt, alphas, islice(alphas, 1, None)))
-            and all(map(le, los, islice(los, 1, None)))
-            and all(map(ge, his, islice(his, 1, None)))
-        ):
-            for _ in _nested_rows(zip(alphas, los, his), start, end):
-                pass
-        if start:
-            return alphas[1:], los[1:], his[1:]
-        return alphas, los, his
-
-    return nested_columns
 
 
 def _require_same_kind(p: PseudoTfn, q: PseudoTfn) -> Kind:
@@ -268,9 +230,8 @@ def _side(p: PseudoTfn, alphas: list[float]) -> Side:
 
     Where a side b - a or c - b overflows, the triangle is halved, which is
     exact, and its cuts doubled, as _cut does. Then every cut is finite,
-    and lo lies in [a, b] and hi in [b, c]: lo rises and hi falls with
-    alpha, so only a suffix of rows could hold endpoints that rounding
-    inverted, which take their midpoint, as in _cut.
+    and rounding keeps lo in [a, b] and hi in [b, c], lo rising and hi
+    falling with alpha (README, "Checks that cannot fail").
     """
     a, b, c, inf = p.a, p.b, p.c, math.inf
     half = not (b - a < inf and c - b < inf)
@@ -279,10 +240,6 @@ def _side(p: PseudoTfn, alphas: list[float]) -> Side:
     left, right = b - a, c - b
     los = [a + alpha * left for alpha in alphas]
     his = [c - alpha * right for alpha in alphas]
-    k = len(alphas)
-    while k and los[k - 1] > his[k - 1]:
-        k -= 1
-        los[k] = his[k] = 0.5 * (los[k] + his[k])
     if half:
         los = [2.0 * lo for lo in los]
         his = [2.0 * hi for hi in his]

@@ -548,7 +548,7 @@ def cmd_arith(args: argparse.Namespace) -> _Output:
     else:
         columns_of, count = arith._products(args.op, p, q, args.levels)
     # each operation has checked that p and q share the kind of the result
-    return f"# kind={p.kind.value}\nalpha,lo,hi\n", arith._nested(columns_of, count), count
+    return f"# kind={p.kind.value}\nalpha,lo,hi\n", columns_of, count
 
 
 def cmd_verify(args: argparse.Namespace) -> _Output:

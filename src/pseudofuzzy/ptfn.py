@@ -24,8 +24,9 @@ peak value 1 taken at x == b. a == b == c is rejected at construction.
 
 Sampled curves are computed a chunk of rows at a time, as (xs, mus, lams)
 columns: mu by one branch of the hat on each run of the sorted xs between
-a, b and c, with _mu's floats. The columns are checked whole, and a chunk
-that fails names its first bad row.
+a, b and c, with _mu's floats. The xs are checked whole, and a chunk
+that fails names its first bad row; rounding keeps mu in [0, 1], so it is
+not checked.
 """
 
 from __future__ import annotations
@@ -226,9 +227,6 @@ def _cut(a: float, b: float, c: float, alpha: float) -> tuple[float, float]:
     if not (lo < math.inf and hi > -math.inf):  # a side overflowed: halve, which is exact
         lo, hi = _cut(0.5 * a, 0.5 * b, 0.5 * c, alpha)
         return 2.0 * lo, 2.0 * hi
-    # alpha within ulps of 1 can invert the endpoints by rounding
-    if lo > hi:
-        lo = hi = 0.5 * (lo + hi)
     return lo, hi
 
 
@@ -307,12 +305,13 @@ def _sample_columns(p: PseudoTfn, n: int, xmin: float, xmax: float, start: int, 
     Row i's x is xmin + (i * step) / (n - 1) * scale, the last one xmax.
     mu is _mu's, one branch of the hat on each run of the sorted xs between
     a, b and c; where a side b - a or c - b overflows, the triangle and the
-    xs are halved first, as _mu halves them. lam is _lam's. The columns are
-    checked whole: x rises strictly from row start - 1 and stays finite,
-    mu lies in [0, 1] and lam in [-1, 0] (on finite xs and sides neither is
-    NaN, so min and max bound them). In a chunk that fails, core._bad_row
-    is called on each row that fails core's one row check, in order, and
-    raises the error of the first.
+    xs are halved first, as _mu halves them. lam is _lam's. The xs are
+    checked whole: they rise strictly from row start - 1 and stay finite.
+    In a chunk that fails, core._bad_row is called on each row whose x
+    fails, in order, and raises the error of the first. mu and lam need no
+    check: on a run, 0 <= x - a <= b - a and 0 <= c - x <= c - b hold in
+    floats too, as rounding is monotone, so mu lies in [0, 1] and lam in
+    [-1, 0].
     """
     if start >= stop:
         return [], [], []
@@ -343,12 +342,9 @@ def _sample_columns(p: PseudoTfn, n: int, xmin: float, xmax: float, start: int, 
         xs.append(xmax)
         mus.append(_mu(a, b, c, xmax))
     lams = list(_lams(p.kind, mus))
-    if not (
-        xs[0] > prev and xs[-1] < inf and all(map(lt, xs, islice(xs, 1, None)))
-        and 0.0 <= min(mus) and max(mus) <= 1.0 and -1.0 <= min(lams) and max(lams) <= 0.0
-    ):
+    if not (xs[0] > prev and xs[-1] < inf and all(map(lt, xs, islice(xs, 1, None)))):
         for i, x, mu, lam in zip(range(start, stop), xs, mus, lams):
-            if not (-inf < x < inf and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0 and x > prev):
+            if not prev < x < inf:
                 _bad_row(i, prev, x, mu, lam)
             prev = x
     return xs, mus, lams

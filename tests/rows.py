@@ -1,8 +1,9 @@
 """The row kernels: each computes the rows of a table one at a time, by
 the scalar kernels (_mu, _lam, _cut) and the inline row checks. They are
 the oracle that tests/test_columns.py holds the column kernels of ptfn and
-arith to, bit for bit and error for error. _cut_rows's _overflow call is
-never reached: every cut of a finite triangle is finite and ordered."""
+arith to, bit for bit and error for error. _cut_rows raises
+AssertionError on a cut that is not finite and ordered, which no finite
+triangle has."""
 
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ def _cut_rows(p: PseudoTfn, last: int, start: int, stop: int) -> Iterator[Row]:
         alpha = j / last
         lo, hi = _cut(a, b, c, alpha)
         if not -inf < lo <= hi < inf:
-            _overflow("cut_table", alpha, p)
+            raise AssertionError(f"row {j}: cut [{lo!r}, {hi!r}] is not finite and ordered")
         yield alpha, lo, hi
 
 

@@ -4,6 +4,7 @@ included), or the same error. The row kernels of tests/rows.py are the
 oracle."""
 
 import math
+from operator import ge, le, lt
 
 import pytest
 from hypothesis import example, given, settings
@@ -188,36 +189,67 @@ def test_tables_of_an_overflowing_side(side, chunk):
     products_match("div", p, PseudoTfn.dependent(2.0, 4.0, 8.0), chunk)
 
 
-def nested_rows(rows_of, count, start, stop):
-    return arith._nested_rows(rows_of(max(start - 1, 0), stop), start, stop == count)
+def table_columns(op, p, q, last, start, stop):
+    """The columns of the cuts of p (op "cut"), or of the products of p and q."""
+    if op == "cut":
+        return arith._cut_columns(p, last, start, stop)
+    return arith._product_columns(op, p, q, last, start, stop)
 
 
-@settings(deadline=None, max_examples=100)
-@given(triangles(), triangles(), chunks(), st.sampled_from(["mul", "div", "cut"]))
-def test_nested_columns_are_the_nested_rows(p, q, chunk, op):
+@settings(deadline=None, max_examples=150)
+@given(triangles(), triangles(), chunks(), st.sampled_from(["cut", "mul", "div"]))
+@example(PseudoTfn.dependent(0.0, 1.0, 1.0), PseudoTfn.dependent(2.0, 3.0, 3.0), (11, 4, 9), "cut")
+@example(PseudoTfn.dependent(0.0, 1.0, 1.0), PseudoTfn.dependent(2.0, 3.0, 3.0), (11, 4, 9), "mul")
+@example(PseudoTfn.dependent(-1.0, 0.0, 0.0), PseudoTfn.dependent(2.0, 3.0, 3.0), (11, 4, 9), "div")
+def test_table_columns_keep_the_rules_of_a_cut_table(p, q, chunk, op):
+    # what lets the CLI write a table unchecked: read with row start - 1, a
+    # chunk's levels rise strictly, from 0 and to 1, and its cuts nest
+    # without slack, lo never falling, hi never rising, and lo <= hi
     count, start, stop = chunk
-    q = PseudoTfn(q.shape, p.kind)
     if op == "div" and q.a <= 0.0 <= q.c:
         return
-    if op == "cut":
-        columns_of, _ = arith._cuts(p, count)
+    first = max(start - 1, 0)
+    try:
+        alphas, los, his = table_columns(op, p, q, count - 1, first, stop)
+    except NonFinite:  # products that overflow: the table is an error, not rows
+        return
+    assert all(map(lt, alphas, alphas[1:]))
+    assert first or alphas[0] == 0.0
+    assert stop < count or alphas[-1] == 1.0
+    assert all(map(le, los, los[1:]))
+    assert all(map(ge, his, his[1:]))
+    assert all(map(le, los, his))
 
-        def rows_of(first, end):
-            return _cut_rows(p, count - 1, first, end)
-    else:
-        columns_of, _ = arith._products(op, p, q, count)
 
-        def rows_of(first, end):
-            return _product_rows(op, p, q, count - 1, first, end)
-    same(lambda: arith._nested(columns_of, count)(start, stop),
-         lambda: nested_rows(rows_of, count, start, stop))
+# a side whose difference rounds up, sides that overflow, and subnormal sides
+CUT_FEET = {
+    "finite": (-2.5, 0.25, 3.0), "rounded": (-1e16, 1.5, 1e16), **OVERFLOWING,
+    "subnormal": (5e-324, 1e-323, 2.5e-323), "subnormal0": (-1e-323, 0.0, 5e-324),
+}
+# the largest levels below 1 and levels drawn from [0, 1)
+below_one = st.one_of(st.integers(1, 16).map(lambda k: 1.0 - k * 2**-53),
+                      st.floats(0.0, 1.0, exclude_max=True))
 
 
-def test_nested_columns_check_their_rows_with_slack():
-    # rows that nest only within the slack pass; rows beyond it fail as _nested_rows says
-    table = ([0.0, 0.5, 1.0], [0.0, -1e-12, 0.5], [1.0, 1.0 + 1e-12, 0.5])
-    nested = arith._nested(lambda start, stop: tuple(c[start:stop] for c in table), 3)
-    assert nested(0, 3) == table and nested(2, 3) == ([1.0], [0.5], [0.5])
-    table[1][1] = -1.0
-    with pytest.raises(arith.InvalidCutTable, match=r"^row 1 not nested inside row 0$"):
-        nested(0, 3)
+def cut_in_triangle(p, alpha):
+    lo, hi = ptfn._cut(p.a, p.b, p.c, alpha)
+    assert p.a <= lo <= p.b <= hi <= p.c, (lo, hi)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("feet", CUT_FEET)
+def test_cuts_near_the_peak_lie_either_side_of_it(feet, k):
+    # rounding never inverts the endpoints of a cut below alpha = 1
+    cut_in_triangle(PseudoTfn.dependent(*CUT_FEET[feet]), 1.0 - k * 2**-53)
+
+
+@given(triangles(), below_one)
+def test_cuts_lie_either_side_of_the_peak(p, alpha):
+    cut_in_triangle(p, alpha)
+
+
+@pytest.mark.parametrize("j", [2**52 - 2, 2**52, 2**53 - 6, 2**53 - 4])
+def test_levels_of_the_largest_table_rise(j):
+    # 1 / last exceeds one ulp of the levels in [0.5, 1), so they rise strictly for every level count
+    alphas = arith._levels(2**53 - 1, j, j + 3)
+    assert alphas[0] < alphas[1] < alphas[2] <= 1.0

@@ -338,8 +338,7 @@ def plain_mu(a, b, c, x):
 def plain_cut(a, b, c, alpha):
     if alpha == 1.0:
         return b, b
-    lo, hi = a + alpha * (b - a), c - alpha * (c - b)
-    return (lo, hi) if lo <= hi else (0.5 * (lo + hi),) * 2
+    return a + alpha * (b - a), c - alpha * (c - b)
 
 
 @given(wide_shapes, kinds, wide, levels)

@@ -30,6 +30,8 @@ PAIR = MembershipPair(0.25, -0.75)
 ELEMENT = PseudoFuzzyElement(0.5, PAIR)
 SHAPE = TriangleShape(0, 1, 2)
 ROWS = ((0.0, Interval(0, 2)), (1.0, Interval(1, 1)))
+# row 1 nests inside row 0 only within the slack of DEFAULT_EPS
+SLACK_ROWS = ((0.0, Interval(0, 1)), (0.5, Interval(-1e-12, 1 + 1e-12)), (1.0, Interval(0.5, 0.5)))
 
 # class, positional arguments, a second equal value built by keywords, and its repr
 CASES = [
@@ -48,8 +50,12 @@ CASES = [
     (CutTable, (ROWS, DEP), dict(rows=[(0, Interval(0, 2)), (1, Interval(1, 1))], kind=DEP),
      "CutTable(rows=((0.0, Interval(lo=0.0, hi=2.0)), (1.0, Interval(lo=1.0, hi=1.0))), "
      "kind=<Kind.DEPENDENT: 'dependent'>)"),
+    (CutTable, (SLACK_ROWS, DEP), dict(rows=list(SLACK_ROWS), kind=DEP),
+     "CutTable(rows=((0.0, Interval(lo=0.0, hi=1.0)), (0.5, Interval(lo=-1e-12, hi=1.000000000001)), "
+     "(1.0, Interval(lo=0.5, hi=0.5))), kind=<Kind.DEPENDENT: 'dependent'>)"),
 ]
 IDS = [case[0].__name__ for case in CASES]
+IDS[-1] += "-slack"
 
 
 def _values():
@@ -111,6 +117,8 @@ def test_wrong_arity_or_unknown_keyword_is_a_type_error(cls, args, kwargs, text)
     (lambda: MembershipPair(None, 0.0), TypeError, "mu must be a real number, got NoneType"),
     (lambda: CutTable(((0.0, Interval(0, 1)), (1.0, Interval(2, 2))), DEP), InvalidCutTable,
      "row 1 not nested inside row 0"),
+    (lambda: CutTable((SLACK_ROWS[0], (0.5, Interval(-1e-12, 1 + 1e-8)), SLACK_ROWS[2]), DEP),
+     InvalidCutTable, "row 1 not nested inside row 0"),  # beyond the slack
 ])
 def test_checks_keep_their_errors(build, error, message):
     with pytest.raises(error) as info:
@@ -187,5 +195,6 @@ def test_positional_match_patterns():
         ("interval", 0.0, 1.0),
         ("dependent", 0.0, 1.0, 2.0),
         ("table", 2, DEP),
+        ("table", 3, DEP),
     ]
     assert describe(PseudoTfn(SHAPE, Kind.INDEPENDENT)) is None
