@@ -8,14 +8,14 @@ curve CSV a block of lines at a time, as (xs, mus, lams) columns that
 ptfn's one kind checker takes as they come; a large table is read by two
 processes on two CPUs, a forked child checking the lines after its middle
 while this one checks those before, and their verdicts merge into those
-of one process. Each command returns its
-output as a head, columns_of and a row count, and main writes them with
-_write_rows, the only code here that writes standard output.
-columns_of computes the three columns of any run of rows, so a large
-table is written a chunk at a time, its columns interleaved into one %
-template, by two processes on two CPUs: this one the even chunks, a
-forked child the odd ones, taking turns, with the output and errors of
-one process.
+of one process. Each command returns its output as a head, columns_of
+and a row count, and main writes them with _write_rows, the only code
+here that writes standard output. columns_of computes the three columns
+of any run of rows, so a large table is written a chunk at a time, its
+columns interleaved into one % template, by two processes on two CPUs:
+this one the even chunks, a forked child the odd ones, taking turns. A
+child that cannot compute or write its chunk exits, and this one writes
+that chunk and the rest: output and errors are those of one process.
 
 Exit codes: 0 success, 2 parse/format/I-O error, 3 domain error, 4 kind
 mismatch, 5 divisor straddles zero.
@@ -173,18 +173,17 @@ def _write_forked(text_of: Callable[[int], str], chunks: int) -> None:
     """Write chunks 0 to chunks - 1 of text_of in order, the odd ones from a forked child.
 
     Each process computes its next chunk while the other writes, then
-    waits for its turn, passed by one byte on a pipe: the parent sends "t"
-    once it has written its chunk; the child answers "t" once it has
-    written its own, or "x" if it could not, and stops. The parent writes
-    a chunk the child did not, and the rest itself, and raises the error
-    of a chunk only once the chunks before it are written: output and
+    waits for its turn: a "t" on a pipe, each way, once a chunk is written.
+    A child that cannot compute or write its chunk exits; at the end of its
+    pipe the parent writes that chunk and the rest. The parent raises a
+    chunk's error only once the chunks before it are written: output and
     errors are those of _write_chunks in one process.
     """
     sys.stdout.flush()  # the child's copy of the buffer starts empty
     fds = []
     try:
         fds += os.pipe()  # the turn, parent to child
-        fds += os.pipe()  # the answer, child to parent
+        fds += os.pipe()  # the turn, child to parent
         pid = os.fork()
     except OSError:  # no descriptor or process to spare: one process writes it all
         for fd in fds:
@@ -196,8 +195,14 @@ def _write_forked(text_of: Callable[[int], str], chunks: int) -> None:
         try:
             os.close(turn_w)
             os.close(ack_r)
-            _write_odd_chunks(text_of, chunks, turn_r, ack_w)
-        finally:
+            for k in range(1, chunks, 2):
+                text = text_of(k)
+                if os.read(turn_r, 1) != b"t":  # the parent stopped
+                    break
+                _write(text)
+                sys.stdout.flush()
+                os.write(ack_w, b"t")
+        finally:  # an error, too, ends the child here: the parent computes the chunk again
             os._exit(0)  # no cleanup and no flush: the parent owns the exit
     os.close(turn_r)
     os.close(ack_w)
@@ -208,7 +213,7 @@ def _write_forked(text_of: Callable[[int], str], chunks: int) -> None:
                 text = text_of(k) if k < chunks else ""
             except Exception as exc:  # raised only once chunk k - 1 is written
                 error = exc
-            if k and os.read(ack_r, 1) != b"t":  # "x", or the end of a pipe the child left
+            if k and os.read(ack_r, 1) != b"t":  # the end of the pipe: the child stopped
                 _write_chunks(text_of, k - 1, chunks)  # the child did not write chunk k - 1
                 return
             if error is not None:
@@ -220,34 +225,12 @@ def _write_forked(text_of: Callable[[int], str], chunks: int) -> None:
                 sys.stdout.flush()
                 try:
                     os.write(turn_w, b"t")
-                except OSError:  # the child is gone; reading its answer tells
+                except OSError:  # the child is gone; the end of its pipe tells
                     pass
     finally:
         os.close(turn_w)
         os.close(ack_r)
         os.waitpid(pid, 0)
-
-
-def _write_odd_chunks(text_of: Callable[[int], str], chunks: int, turn: int, ack: int) -> None:
-    """The loop of _write_forked's child: chunks 1, 3, 5... each written in its turn."""
-    for k in range(1, chunks, 2):
-        try:
-            text = text_of(k)
-        except Exception:  # held: the parent computes the chunk again and raises the error
-            text = None
-        if os.read(turn, 1) != b"t":  # the parent stopped
-            return
-        answer = b"x"
-        if text is not None:
-            try:
-                _write(text)
-                sys.stdout.flush()
-                answer = b"t"
-            except OSError:  # the parent writes the chunk again and reports the error
-                pass
-        os.write(ack, answer)
-        if answer != b"t":
-            return
 
 
 def _unique_fields(pairs: list[tuple[str, object]]) -> dict[str, object]:

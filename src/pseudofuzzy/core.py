@@ -75,9 +75,14 @@ def _show_count(n: object) -> str:
 def _require_count(n: int, least: int, most: int, name: str, unit: str = "") -> int:
     """n as an int in [least, most], or BadCount "need {name} <= {most}{unit}, got n".
 
-    NaN, a non-integral n and an n below least get the ">= least" message.
+    NaN, a non-integral n and an n below least get the ">= least" message;
+    an n that does not compare with an int, such as a str, is a TypeError.
     """
-    if n > most:
+    try:
+        too_many = n > most
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(n).__name__}") from None
+    if too_many:
         bound = "2**53" if most == _MAX_COUNT else most
         raise BadCount(f"need {name} <= {bound}{unit}, got {_show_count(n)}")
     if not (n >= least and n == int(n)):  # NaN and -inf fail n >= least before int()

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from conftest import run_cli
 
-from pseudofuzzy import CaseLabel, classify_case, cli, discretize, validate_pair
+from pseudofuzzy import CaseLabel, DocumentError, classify_case, cli, discretize, validate_pair
 from pseudofuzzy.cli import parse_ptfn
 
 try:
@@ -520,6 +520,11 @@ class TestColdFeverSample:
 def test_parse_ptfn_accepts_bytes():
     p = parse_ptfn(json.dumps({"a": 0, "b": 1, "c": 2, "kind": "independent"}).encode())
     assert p.kind.value == "independent"
+    # decoded strictly here too, though the CLI checks its input's bytes before parsing
+    with pytest.raises(DocumentError) as info:
+        parse_ptfn(b'{"a": 0, "b": 1, "c": 2, "kind": "dep\xffendent"}')
+    assert str(info.value) == ("input is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                               "in position 37: invalid start byte")
 
 
 def test_main_leaves_the_collector_as_it_found_it(capsys):

@@ -169,10 +169,11 @@ class TestValidateSet:
         ([(0, 0.5, -0.5), (1, (0.5, None))], "element 1: lam must be a real number, got NoneType"),
         ((("z", 0.5, -0.5),), "element 0: x must be a real number, got str"),
         ([(0, 0.5)], "element 0: expected PseudoFuzzyElement, (x, mu, lam) or (x, pair)"),
+        ([(0, 0.5, -0.5, 0.0)], "element 0: expected PseudoFuzzyElement, (x, mu, lam) or (x, pair)"),
         ([(0, (0.5, -0.5, 0.0))],
          "element 0: expected PseudoFuzzyElement, (x, mu, lam) or (x, pair)"),
         ([0.5], "element 0: expected PseudoFuzzyElement, (x, mu, lam) or (x, pair)"),
-    ], ids=["str-mu", "none-lam", "str-x", "short", "long-pair", "float"])
+    ], ids=["str-mu", "none-lam", "str-x", "short", "long", "long-pair", "float"])
     def test_values_that_are_not_numbers_name_element_and_field(self, elements, message):
         with pytest.raises(TypeError) as raised:
             validate_set(elements)

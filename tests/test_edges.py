@@ -186,6 +186,16 @@ COUNT_CASES = [
          f"need grid_per_operand <= 4096, got an integer of {HUGE_BITS} bits", "oracle-huge"),
     case(lambda n: extension_oracle(P, P, ADD, 16, n), math.nan,
          "need levels >= 2, got nan", "oracle-levels-nan"),
+    # a count that does not compare with an int is no count: strings are not read
+    case(lambda n: cut_table(P, n), "11", "levels must be an integer, got str",
+         "cut_table-str", TypeError),
+    case(lambda n: mul(P, P, n), None, "levels must be an integer, got NoneType",
+         "mul-None", TypeError),
+    case(lambda n: mul(P, P, n), [3], "levels must be an integer, got list", "mul-list", TypeError),
+    case(lambda n: discretize(P, n, 0.0, 1.0), "5", "n must be an integer, got str",
+         "discretize-str", TypeError),
+    case(lambda n: extension_oracle(P, P, ADD, n), "64",
+         "grid_per_operand must be an integer, got str", "oracle-str", TypeError),
 ]
 
 

@@ -5,6 +5,7 @@ be those of the one-process loop, which cli.main runs in this process
 stdout on a pipe: a child that outlived the CLI would hold the pipe open
 and make communicate time out."""
 
+import json
 import os
 import subprocess
 import sys
@@ -110,7 +111,10 @@ FORK_COUNT = textwrap.dedent(
         forks += 1
         if sys.argv[1] == "fork-fails":
             raise BlockingIOError(11, "Resource temporarily unavailable")
-        return fork()
+        pid = fork()
+        if pid == 0 and sys.argv[1] == "child-dies":
+            os._exit(0)
+        return pid
 
     os.fork = counted
     if sys.argv[1] == "one-cpu":
@@ -143,3 +147,81 @@ def test_a_table_is_written_by_one_process_if_the_fork_fails():
     proc = subprocess.run([sys.executable, "-c", FORK_COUNT, "fork-fails", *argv],
                           capture_output=True, timeout=TIMEOUT_S, env=BUFFERED)
     assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (*run_main(argv)[:2], b"1\n")
+
+
+@can_fork
+def test_the_parent_writes_the_chunks_of_a_child_that_dies():
+    argv = ["curve", DEP, "--n", "80001"]
+    proc = subprocess.run([sys.executable, "-c", FORK_COUNT, "child-dies", *argv],
+                          capture_output=True, timeout=TIMEOUT_S, env=BUFFERED)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (*run_main(argv)[:2], b"1\n")
+
+
+@can_fork
+def test_a_reader_that_leaves_after_the_first_chunk_gets_that_chunk_and_one_line():
+    argv = ["curve", DEP, "--n", "80001"]
+    first = "".join(run_main(argv)[1].splitlines(keepends=True)[:1 + 4096]).encode()  # head, chunk 0
+    proc = subprocess.Popen([sys.executable, "-m", "pseudofuzzy", *argv], bufsize=0,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED)
+    try:
+        got = b""
+        while len(got) < len(first):  # unbuffered: no byte past the chunk is read
+            part = proc.stdout.read(len(first) - len(got))
+            if not part:
+                break
+            got += part
+        proc.stdout.close()
+        err = proc.communicate(timeout=TIMEOUT_S)[1]
+    finally:
+        proc.kill()
+    assert got == first
+    assert (proc.returncode, err) == (2, b"error: cannot write output: [Errno 32] Broken pipe\n")
+
+
+LEAK_CHECK = textwrap.dedent(
+    """
+    import json, os, sys
+    from pseudofuzzy import cli
+
+    forks = 0
+    fork = os.fork
+
+    def counted():
+        global forks
+        forks += 1
+        return fork()
+
+    os.fork = counted
+    before = sorted(os.listdir("/proc/self/fd"))
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+    after = sorted(os.listdir("/proc/self/fd"))
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        left = None
+    print(json.dumps([codes, before, after, forks, left]), file=sys.stderr)
+    """
+)
+
+
+@can_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list")
+def test_forked_commands_leave_no_descriptor_or_child(tmp_path):
+    # the benchmark's traced replay runs many commands in one process
+    table = tmp_path / "table.csv"
+    table.write_text(run_main(["curve", DEP, "--n", "80001"])[1])
+    assert table.stat().st_size >= 1 << 20  # read by two processes
+    commands = [
+        ["curve", DEP, "--n", "80001"],
+        ["arith", "mul", DEP, DEP2, "--levels", "50001"],
+        ["verify", str(table), "--table", "--kind", "dependent"],
+        *(["curve", DEP, "--n", "20000", "--xmin", xmin, "--xmax", xmax]
+          for xmin, xmax in [("9007199254735992", "9007199254755991"),
+                             ("9007199254731992", "9007199254751991")]),
+    ]
+    with open(tmp_path / "out.csv", "wb") as out:
+        proc = subprocess.run([sys.executable, "-c", LEAK_CHECK, json.dumps(commands)],
+                              stdout=out, stderr=subprocess.PIPE, timeout=TIMEOUT_S, env=BUFFERED)
+    assert proc.returncode == 0, proc.stderr
+    codes, before, after, forks, left = json.loads(proc.stderr.splitlines()[-1])
+    assert (codes, after, forks, left) == ([0, 0, 0, 3, 3], before, 5, None)

@@ -3,7 +3,7 @@
 import math
 from unittest import mock
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pseudofuzzy import (
@@ -292,10 +292,17 @@ def test_tabulated_triangle_reconstructs_mu(p, x):
 
 @settings(max_examples=20, deadline=None)
 @given(shape_strategy(min_side=0.05), shape_strategy(min_side=0.05), kinds)
+# a sample at level 0.4 whose mu rounds to 0.3999999999999999: the oracle
+# takes the next sample of each operand, a gap of h_p + h_q and 2.7e-16
+@example(TriangleShape(1.0, 1.5, 2.6), TriangleShape(1.0, 1.5, 2.6), Kind.DEPENDENT)
 def test_oracle_add_convergence(shape1, shape2, kind):
     p, q = PseudoTfn(shape1, kind), PseudoTfn(shape2, kind)
     grid = 64
-    bound = 2.0 * max(shape1.width, shape2.width) / grid
+    # each operand's samples are h = width / grid apart, so an endpoint is
+    # off by h_p + h_q at most, plus the rounding of samples and sums, which
+    # are no larger in magnitude than the operands' largest ends together
+    magnitude = max(abs(shape1.a), abs(shape1.c)) + max(abs(shape2.a), abs(shape2.c))
+    bound = (shape1.width + shape2.width) / grid + 4 * math.ulp(magnitude)
     got = extension_oracle(p, q, BinaryOpCode.ADD, grid, 6)
     want = cut_table(add(p, q), 6)
     for (_, gi), (_, wi) in zip(got.rows, want.rows):

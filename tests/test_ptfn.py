@@ -153,10 +153,11 @@ class TestAlphaCut:
         assert alpha_cut_mu(DEP, 1) == Interval(1.0, 1.0)
 
     def test_support_closure(self):
-        assert alpha_cut_mu(DEP, 0) == Interval(0.0, 2.0)
+        assert alpha_cut_mu(DEP, 0) == DEP.support == Interval(0.0, 2.0)
 
     def test_interior(self):
-        assert alpha_cut_mu(DEP, 0.5) == Interval(0.5, 1.5)
+        cut = alpha_cut_mu(DEP, 0.5)
+        assert cut == Interval(0.5, 1.5) and cut.width == 1.0
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan, pytest.param(10**400, id="10**400")])
     def test_out_of_range(self, alpha):

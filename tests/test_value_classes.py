@@ -103,6 +103,8 @@ def test_wrong_arity_or_unknown_keyword_is_a_type_error(cls, args, kwargs, text)
     (lambda: PseudoTfn((0, 1, 2), DEP), TypeError, "shape must be a TriangleShape, got tuple"),
     (lambda: PseudoTfn(SHAPE, "dependent"), TypeError, "kind must be a Kind, got str"),
     (lambda: CutTable(ROWS[::-1], DEP), InvalidCutTable, "levels must start at 0 and end at 1"),
+    (lambda: CutTable((ROWS[0], (0.5, Interval(1, 1))), DEP), InvalidCutTable,
+     "levels must start at 0 and end at 1"),
     (lambda: CutTable(ROWS[:1], DEP), InvalidCutTable, "need at least 2 rows, got 1"),
     (lambda: CutTable(ROWS, 42), TypeError, "kind must be a Kind, got int"),
     (lambda: CutTable([(0.0, (1, 2)), (1.0, (1, 2))], DEP), TypeError,
