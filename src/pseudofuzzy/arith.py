@@ -5,8 +5,8 @@ PseudoTfn with the closed-form shape. Products and quotients of triangles
 are not triangular; mul and div therefore return a CutTable: interval
 endpoints tabulated at equally spaced levels in [0, 1]. A table is
 computed a chunk of rows at a time, from any row to any other, as
-(alphas, los, his) float columns: the cuts of each operand with _cut's
-floats, and the least and greatest of their four endpoint products. A
+(alphas, los, his) float columns: the cuts of each operand by ptfn's cut
+kernel, and the least and greatest of their four endpoint products. A
 chunk with a product that is not finite raises the error of its first
 such row. cut_table, mul and div collect all rows into a CutTable, whose
 rules _nested_rows checks, and the CLI writes them a chunk at a time.
@@ -19,7 +19,9 @@ lam = -mu independent), so operands must share a kind.
 
 extension_oracle is the independent cross-check: it lifts the crisp
 operation pointwise over sampled supports with the sup-min rule and bins
-the results by membership level. It shares no code with the fast paths.
+the results by membership level. It shares no code with the fast paths
+it checks, the cut kernel and the products of mul and div; it takes mu
+through mu_at.
 It is the package's only numpy user, and imports numpy on its first
 call, so importing the package and every CLI command never load it.
 """
@@ -52,10 +54,10 @@ from .ptfn import (
     Kind,
     PseudoTfn,
     TriangleShape,
-    _cut,
-    _lam,
+    _lams,
     _require_kind,
     _rows,
+    _side,
     mu_at,
 )
 
@@ -73,7 +75,6 @@ DEFAULT_ORACLE_GRID = 256
 MAX_ORACLE_GRID = 4096
 
 Row = tuple[float, float, float]  # (alpha, lo, hi) of a cut table
-Side = tuple[list, list]  # (los, his): the cuts of one operand, as columns
 
 
 class BinaryOpCode(enum.Enum):
@@ -206,8 +207,8 @@ def scale(p: PseudoTfn, k: float) -> PseudoTfn:
 
 def _overflow(op: str, alpha: float, p: PseudoTfn, q: PseudoTfn) -> NoReturn:
     """Raise the error of the row of op at alpha, whose product (mul) or quotient (div) is not finite."""
-    ulo, uhi = _cut(p.a, p.b, p.c, alpha)
-    vlo, vhi = _cut(q.a, q.b, q.c, alpha)
+    (ulo,), (uhi,) = _side(p, [alpha])
+    (vlo,), (vhi,) = _side(q, [alpha])
     if op == "mul":
         reason = f"product of cuts [{ulo!r}, {uhi!r}] and [{vlo!r}, {vhi!r}] is not finite"
     else:
@@ -223,29 +224,6 @@ def _table(columns_of: ColumnsOf, count: int, kind: Kind) -> CutTable:
 def _levels(last: int, start: int, stop: int) -> list[float]:
     """The levels j / last, j from start to stop - 1, as the loop computes them."""
     return [j / last for j in range(start, stop)]
-
-
-def _side(p: PseudoTfn, alphas: list[float]) -> Side:
-    """The (los, his) columns of _cut of p at each of alphas, which rise.
-
-    Where a side b - a or c - b overflows, the triangle is halved, which is
-    exact, and its cuts doubled, as _cut does. Then every cut is finite,
-    and rounding keeps lo in [a, b] and hi in [b, c], lo rising and hi
-    falling with alpha (README, "Checks that cannot fail").
-    """
-    a, b, c, inf = p.a, p.b, p.c, math.inf
-    half = not (b - a < inf and c - b < inf)
-    if half:
-        a, b, c = 0.5 * a, 0.5 * b, 0.5 * c
-    left, right = b - a, c - b
-    los = [a + alpha * left for alpha in alphas]
-    his = [c - alpha * right for alpha in alphas]
-    if half:
-        los = [2.0 * lo for lo in los]
-        his = [2.0 * hi for hi in his]
-    if alphas and alphas[-1] == 1.0:  # only the last level can be 1, where the cut is the peak
-        los[-1] = his[-1] = p.b
-    return los, his
 
 
 def _cuts(p: PseudoTfn, levels: int) -> tuple[ColumnsOf, int]:
@@ -432,4 +410,5 @@ def lambda_of_result(table: CutTable, x: float) -> MembershipPair:
             t = (wide.hi - x) / gap if gap > 0.0 else 1.0
         mu = alpha_lo + t * (alpha_hi - alpha_lo)
         mu = min(max(mu, 0.0), 1.0)
-    return MembershipPair(mu, _lam(table.kind, mu))
+    [lam] = _lams(table.kind, [mu])
+    return MembershipPair(mu, lam)

@@ -82,6 +82,8 @@ def _require_count(n: int, least: int, most: int, name: str, unit: str = "") -> 
         too_many = n > most
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {type(n).__name__}") from None
+    except ArithmeticError:  # a Decimal NaN, which does not compare
+        raise BadCount(f"need {name} >= {least}{unit}, got {_show_count(n)}") from None
     if too_many:
         bound = "2**53" if most == _MAX_COUNT else most
         raise BadCount(f"need {name} <= {bound}{unit}, got {_show_count(n)}")

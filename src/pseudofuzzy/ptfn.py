@@ -22,11 +22,11 @@ independent one has |mu| + |lam| = 2*mu, sweeping cases A and C.
 Degenerate sides: a == b (or b == c) makes that side a step, with the
 peak value 1 taken at x == b. a == b == c is rejected at construction.
 
-Sampled curves are computed a chunk of rows at a time, as (xs, mus, lams)
-columns: mu by one branch of the hat on each run of the sorted xs between
-a, b and c, with _mu's floats. The xs are checked whole, and a chunk
-that fails names its first bad row; rounding keeps mu in [0, 1], so it is
-not checked.
+Each grade and cut has one kernel, over a column: _mus (mu at rising xs),
+_lams (the kind identity) and _side (the cuts at rising levels). The
+scalar API calls them on one element, and tables a chunk of rows at a
+time. A curve's xs are checked whole, and a chunk that fails names its
+first bad row; rounding keeps mu in [0, 1], so it is not checked.
 """
 
 from __future__ import annotations
@@ -175,59 +175,77 @@ class PseudoTfn(_Frozen):
         return Interval(self.shape.a, self.shape.c)
 
 
-def _mu(a: float, b: float, c: float, x: float) -> float:
-    """The membership kernel: mu at x of the triangle (a, b, c), unchecked."""
-    if x < a or x > c:
-        return 0.0
-    if x == b:
-        return 1.0
-    if b - a == math.inf or c - b == math.inf:  # a side overflows: halve, which is exact
-        a, b, c, x = 0.5 * a, 0.5 * b, 0.5 * c, 0.5 * x
-    if x < b:
-        return (x - a) / (b - a)
-    return (c - x) / (c - b)
+def _mus(p: PseudoTfn, xs: Sequence[float]) -> list[float]:
+    """The membership kernel: mu of p at each of xs, which rise, unchecked.
+
+    mu is one branch of the hat on each run of xs: 0 below a, (x - a) / (b - a)
+    up to b, 1 at b, (c - x) / (c - b) up to c and 0 above it. Where a side
+    b - a or c - b overflows, the triangle and the xs are halved first,
+    which is exact.
+    """
+    a, b, c, inf = p.a, p.b, p.c, math.inf
+    ia = bisect_left(xs, a)
+    ib = bisect_left(xs, b, ia)
+    jb = bisect_right(xs, b, ib)
+    jc = bisect_right(xs, c, jb)
+    if not (b - a < inf and c - b < inf):  # a side overflows: halve, which is exact
+        a, b, c, xs = 0.5 * a, 0.5 * b, 0.5 * c, [0.5 * x for x in xs]
+    left, right = b - a, c - b
+    mus = [0.0] * ia
+    mus += [(x - a) / left for x in islice(xs, ia, ib)]
+    mus += repeat(1.0, jb - ib)
+    mus += [(c - x) / right for x in islice(xs, jb, jc)]
+    mus += repeat(0.0, len(xs) - jc)
+    return mus
 
 
 def mu_at(p: PseudoTfn, x: float) -> float:
     """Positive membership at x; piecewise linear, 1 at the peak."""
-    return _mu(p.a, p.b, p.c, _require_finite("x", x))
-
-
-def _lam(kind: Kind, mu: float) -> float:
-    """The kind identity: the negative grade that goes with mu."""
-    if kind is Kind.DEPENDENT:
-        return mu - 1.0
-    return 0.0 - mu  # not -mu: lam is +0.0 where mu is 0
+    [mu] = _mus(p, [_require_finite("x", x)])
+    return mu
 
 
 def _lams(kind: Kind, mus: Iterable[float]) -> Iterator[float]:
-    """_lam over a column of mu, the same floats computed by C-level builtins."""
+    """The kind identity: the negative grade that goes with each of mus."""
     if kind is Kind.DEPENDENT:
-        return map(sub, mus, repeat(1.0))
-    return map(sub, repeat(0.0), mus)
+        return map(sub, mus, repeat(1.0))  # mu - 1.0
+    return map(sub, repeat(0.0), mus)  # 0.0 - mu, not -mu: lam is +0.0 where mu is 0
 
 
 def lambda_at(p: PseudoTfn, x: float) -> float:
     """Negative membership at x per the number's kind."""
-    return _lam(p.kind, mu_at(p, x))
+    [lam] = _lams(p.kind, [mu_at(p, x)])
+    return lam
 
 
 def pair_at(p: PseudoTfn, x: float) -> MembershipPair:
     """Both grades at x as a validated MembershipPair."""
     mu = mu_at(p, x)
-    return MembershipPair(mu, _lam(p.kind, mu))
+    [lam] = _lams(p.kind, [mu])
+    return MembershipPair(mu, lam)
 
 
-def _cut(a: float, b: float, c: float, alpha: float) -> tuple[float, float]:
-    """The cut kernel: (lo, hi) of the alpha-cut of the triangle (a, b, c), unchecked."""
-    if alpha == 1.0:
-        return b, b
-    lo = a + alpha * (b - a)
-    hi = c - alpha * (c - b)
-    if not (lo < math.inf and hi > -math.inf):  # a side overflowed: halve, which is exact
-        lo, hi = _cut(0.5 * a, 0.5 * b, 0.5 * c, alpha)
-        return 2.0 * lo, 2.0 * hi
-    return lo, hi
+def _side(p: PseudoTfn, alphas: list[float]) -> tuple[list[float], list[float]]:
+    """The cut kernel: the (los, his) columns of the alpha-cuts of p at each of alphas, which rise.
+
+    Where a side b - a or c - b overflows, the triangle is halved, which is
+    exact, and its cuts doubled. Then every cut is finite, and rounding
+    keeps lo in [a, b] and hi in [b, c], lo rising and hi falling with
+    alpha (README, "Checks that cannot fail").
+    """
+    a, b, c, inf = p.a, p.b, p.c, math.inf
+    half = not (b - a < inf and c - b < inf)
+    if half:
+        a, b, c = 0.5 * a, 0.5 * b, 0.5 * c
+    left, right = b - a, c - b
+    los = [a + alpha * left for alpha in alphas]
+    his = [c - alpha * right for alpha in alphas]
+    if half:
+        los = [2.0 * lo for lo in los]
+        his = [2.0 * hi for hi in his]
+    if alphas and alphas[-1] == 1.0:  # only the last level can be 1, where the cut is the peak
+        los[-1] = his[-1] = p.b
+    return los, his
 
 
 def alpha_cut_mu(p: PseudoTfn, alpha: float) -> Interval:
@@ -239,7 +257,8 @@ def alpha_cut_mu(p: PseudoTfn, alpha: float) -> Interval:
     alpha = _real("alpha", alpha)
     if not 0.0 <= alpha <= 1.0:  # NaN fails the chained comparison too
         raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha!r}")
-    return Interval(*_cut(p.a, p.b, p.c, alpha))
+    (lo,), (hi,) = _side(p, [alpha])
+    return Interval(lo, hi)
 
 
 def beta_cut_lambda(p: PseudoTfn, beta: float) -> Interval:
@@ -303,10 +322,8 @@ def _sample_columns(p: PseudoTfn, n: int, xmin: float, xmax: float, start: int, 
     """The rows start to stop - 1 of _sample's n rows, as (xs, mus, lams) columns.
 
     Row i's x is xmin + (i * step) / (n - 1) * scale, the last one xmax.
-    mu is _mu's, one branch of the hat on each run of the sorted xs between
-    a, b and c; where a side b - a or c - b overflows, the triangle and the
-    xs are halved first, as _mu halves them. lam is _lam's. The xs are
-    checked whole: they rise strictly from row start - 1 and stay finite.
+    mu is _mus's and lam _lams's. The xs are checked whole: they rise
+    strictly from row start - 1 and stay finite.
     In a chunk that fails, core._bad_row is called on each row whose x
     fails, in order, and raises the error of the first. mu and lam need no
     check: on a run, 0 <= x - a <= b - a and 0 <= c - x <= c - b hold in
@@ -315,32 +332,19 @@ def _sample_columns(p: PseudoTfn, n: int, xmin: float, xmax: float, start: int, 
     """
     if start >= stop:
         return [], [], []
-    a, b, c, inf = p.a, p.b, p.c, math.inf
+    inf = math.inf
     span, last = xmax - xmin, n - 1
     # 1.0 changes no bits; past the float range, a power of two keeps i * step finite
     scale = 1.0 if span * last < inf else 2.0 ** last.bit_length()
     step = span / scale
     # the x of row start - 1, which the formula gives for every row but the last
     prev = xmin + ((start - 1) * step) / last * scale if start else -inf
-    # rows by the formula: monotone in i, so sorted, as the runs need
+    # rows by the formula: monotone in i, so sorted, as _mus needs
     xs = [xmin + (i * step) / last * scale for i in range(start, min(stop, last))]
-    ha, hb, hc, hxs = a, b, c, xs
-    if not (b - a < inf and c - b < inf):  # a side overflows: halve, which is exact
-        ha, hb, hc, hxs = 0.5 * a, 0.5 * b, 0.5 * c, [0.5 * x for x in xs]
-    left, right = hb - ha, hc - hb
-    ia = bisect_left(xs, a)
-    ib = bisect_left(xs, b, ia)
-    jb = bisect_right(xs, b, ib)
-    jc = bisect_right(xs, c, jb)
-    mus = [0.0] * ia
-    mus += [(x - ha) / left for x in islice(hxs, ia, ib)]
-    mus += repeat(1.0, jb - ib)
-    mus += [(hc - x) / right for x in islice(hxs, jb, jc)]
-    mus += repeat(0.0, len(xs) - jc)
-    del hxs
+    mus = _mus(p, xs)
     if stop == n:  # the last row is xmax, which may fall at or below the formula's row before it
         xs.append(xmax)
-        mus.append(_mu(a, b, c, xmax))
+        mus += _mus(p, [xmax])
     lams = list(_lams(p.kind, mus))
     if not (xs[0] > prev and xs[-1] < inf and all(map(lt, xs, islice(xs, 1, None)))):
         for i, x, mu, lam in zip(range(start, stop), xs, mus, lams):
@@ -381,7 +385,7 @@ def _first_violation(columns: Iterable[Columns], kind: Kind, eps: float) -> Opti
 
 
 def kind_violation(p: PseudoTfn, grid: int, eps: float = DEFAULT_EPS) -> Optional[float]:
-    """None: p's lam is derived from its mu (_lam), so no x breaks its kind identity.
+    """None: p's lam is derived from its mu (_lams), so no x breaks its kind identity.
 
     Checks grid and the default window as sampling would, then eps; samples nothing.
     """

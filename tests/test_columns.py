@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pseudofuzzy import Kind, PseudoTfn, TriangleShape, arith, ptfn
+from pseudofuzzy import Kind, PseudoTfn, TriangleShape, alpha_cut_mu, arith, pair_at, ptfn
 from pseudofuzzy.errors import NonFinite
-from rows import _cut_rows, _product_rows, _sample_rows, _transposed
+from rows import _cut_rows, _product_rows, _sample_rows, _transposed, plain_cut, plain_lam, plain_mu
 
 CHUNK = ptfn._CHUNK_ROWS
 COUNTS = [2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 3 * CHUNK + 1]
@@ -149,7 +149,7 @@ def test_product_columns_fall_back_to_the_rows(p, q):
              lambda: _cut_rows(p, count - 1, start, stop))
 
 
-# triangles with a side b - a or c - b that overflows: _mu and _cut halve them, and the column kernels must too
+# triangles with a side b - a or c - b that overflows: the row kernels' formulas halve them, and the column kernels must too
 OVERFLOWING = {"left": (-1e308, 1e308, 1.5e308), "right": (-1.5e308, -1e308, 1e308)}
 # whole tables of 2 and 101 rows, a chunk from mid-table to the table's end, and one inside a table
 OVERFLOWING_CHUNKS = [(2, 0, 2), (101, 0, 101), (2 * CHUNK + 1, CHUNK + 7, 2 * CHUNK + 1),
@@ -232,15 +232,31 @@ below_one = st.one_of(st.integers(1, 16).map(lambda k: 1.0 - k * 2**-53),
 
 
 def cut_in_triangle(p, alpha):
-    lo, hi = ptfn._cut(p.a, p.b, p.c, alpha)
+    (lo,), (hi,) = ptfn._side(p, [alpha])
     assert p.a <= lo <= p.b <= hi <= p.c, (lo, hi)
+
+
+def hexes(*values):
+    return [value.hex() for value in values]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("feet", CUT_FEET)
 def test_cuts_near_the_peak_lie_either_side_of_it(feet, k):
     # rounding never inverts the endpoints of a cut below alpha = 1
-    cut_in_triangle(PseudoTfn.dependent(*CUT_FEET[feet]), 1.0 - k * 2**-53)
+    alpha = 1.0 - k * 2**-53
+    cut_in_triangle(PseudoTfn.dependent(*CUT_FEET[feet]), alpha)
+    # the scalar API calls the column kernels on one element: at these levels,
+    # the cut and the grades at its endpoints are the plain formulas' bit for bit
+    a, b, c = CUT_FEET[feet]
+    cut = alpha_cut_mu(PseudoTfn.dependent(a, b, c), alpha)
+    assert hexes(cut.lo, cut.hi) == hexes(*plain_cut(a, b, c, alpha))
+    for kind in Kind:
+        p = PseudoTfn(TriangleShape(a, b, c), kind)
+        for x in (cut.lo, cut.hi):
+            mu = plain_mu(a, b, c, x)
+            pair = pair_at(p, x)
+            assert hexes(pair.mu, pair.lam) == hexes(mu, plain_lam(kind, mu))
 
 
 @given(triangles(), below_one)

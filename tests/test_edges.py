@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -186,6 +188,17 @@ COUNT_CASES = [
          f"need grid_per_operand <= 4096, got an integer of {HUGE_BITS} bits", "oracle-huge"),
     case(lambda n: extension_oracle(P, P, ADD, 16, n), math.nan,
          "need levels >= 2, got nan", "oracle-levels-nan"),
+    # a Decimal NaN raises decimal.InvalidOperation on comparison, not False
+    case(lambda n: cut_table(P, n), Decimal("NaN"), "need levels >= 2, got Decimal('NaN')",
+         "cut_table-Decimal-nan"),
+    case(lambda n: cut_table(P, n), Decimal("sNaN"), "need levels >= 2, got Decimal('sNaN')",
+         "cut_table-Decimal-snan"),
+    case(lambda n: discretize(P, n, 0.0, 1.0), Decimal("NaN"),
+         "need n >= 2 sample points, got Decimal('NaN')", "discretize-Decimal-nan"),
+    case(lambda n: discretize(P, n, 0.0, 1.0), Decimal("sNaN"),
+         "need n >= 2 sample points, got Decimal('sNaN')", "discretize-Decimal-snan"),
+    case(lambda n: cut_table(P, n), Decimal("2.5"), "need levels >= 2, got Decimal('2.5')",
+         "cut_table-Decimal-fraction"),
     # a count that does not compare with an int is no count: strings are not read
     case(lambda n: cut_table(P, n), "11", "levels must be an integer, got str",
          "cut_table-str", TypeError),
@@ -209,3 +222,4 @@ def test_a_bad_count_is_a_bad_count(call, count, message, error):
 def test_an_integral_float_count_is_taken():
     assert len(discretize(P, 3.0, 0.0, 1.0)) == 3
     assert len(extension_oracle(P, P, ADD, 16.0, 3.0).rows) == 3
+    assert len(cut_table(P, Decimal("3")).rows) == len(cut_table(P, Fraction(3)).rows) == 3

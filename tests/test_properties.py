@@ -35,6 +35,7 @@ from pseudofuzzy import (
 )
 from pseudofuzzy import ptfn
 from pseudofuzzy.ptfn import _sample
+from rows import plain_cut, plain_lam, plain_mu
 
 finite_mu = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 finite_lam = st.floats(min_value=-1.0, max_value=0.0, allow_nan=False)
@@ -334,30 +335,25 @@ wide = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 wide_shapes = st.lists(wide, min_size=3, max_size=3).map(sorted).filter(lambda f: f[0] < f[2])
 
 
-def plain_mu(a, b, c, x):
-    if x < a or x > c:
-        return 0.0
-    if x == b:
-        return 1.0
-    return (x - a) / (b - a) if x < b else (c - x) / (c - b)
-
-
-def plain_cut(a, b, c, alpha):
-    if alpha == 1.0:
-        return b, b
-    return a + alpha * (b - a), c - alpha * (c - b)
-
-
 @given(wide_shapes, kinds, wide, levels)
+# sides b - a (left) and c - b (right) that overflow, at a foot, inside a side, and at levels 0, 1 and between
+@example([-1e308, 1e308, 1.5e308], Kind.DEPENDENT, -1e308, 0.0)
+@example([-1e308, 1e308, 1.5e308], Kind.INDEPENDENT, 5e-324, 0.5)
+@example([-1e308, 1e308, 1.5e308], Kind.DEPENDENT, 1.5e308, 1.0)
+@example([-1.5e308, -1e308, 1e308], Kind.INDEPENDENT, 1e308, 0.0)
+@example([-1.5e308, -1e308, 1e308], Kind.DEPENDENT, -5e-324, 1.0 - 2**-53)
+@example([-1.7976931348623157e308, 0.0, 1.7976931348623157e308], Kind.INDEPENDENT, -0.0, 0.75)
 def test_grades_and_cuts_of_finite_triangles_are_finite(feet, kind, x, alpha):
     p = PseudoTfn(TriangleShape(*feet), kind)
     pair = pair_at(p, x)  # MembershipPair checks that both grades are finite and in range
     cut = alpha_cut_mu(p, alpha)  # Interval checks that lo <= hi are finite
     a, b, c = feet
     assert a <= cut.lo <= cut.hi <= c
-    if b - a < math.inf and c - b < math.inf:  # where no side overflows, the plain formulas
-        assert pair.mu == plain_mu(a, b, c, x)
-        assert (cut.lo, cut.hi) == plain_cut(a, b, c, alpha)
+    # everywhere, overflowing sides too, the plain formulas of tests/rows.py, bit for bit
+    mu = plain_mu(a, b, c, x)
+    assert [pair.mu.hex(), pair.lam.hex()] == [mu.hex(), plain_lam(kind, mu).hex()]
+    assert [mu_at(p, x).hex(), lambda_at(p, x).hex()] == [pair.mu.hex(), pair.lam.hex()]
+    assert [cut.lo.hex(), cut.hi.hex()] == [end.hex() for end in plain_cut(a, b, c, alpha)]
 
 
 @given(wide, wide, st.integers(2, 300))
@@ -382,7 +378,9 @@ column_mus = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 0.5]), finite_mu
 
 @given(kinds, st.lists(column_mus, max_size=50))
 def test_lams_is_lam_over_a_column(kind, mus):
-    # the kind checks hold lam against _lams, and every lam comes from _lam:
-    # the two agree bit for bit, signed zeros included
-    lams = [lam.hex() for lam in ptfn._lams(kind, mus)]
-    assert lams == [ptfn._lam(kind, mu).hex() for mu in mus]
+    # every lam, and every check of one, comes from _lams: it is the paper's
+    # identity bit for bit, and a lam of 0 (independent, where mu is 0) is +0.0
+    lams = list(ptfn._lams(kind, mus))
+    want = [mu - 1.0 if kind is Kind.DEPENDENT else 0.0 - mu for mu in mus]
+    assert [lam.hex() for lam in lams] == [lam.hex() for lam in want]
+    assert all(math.copysign(1.0, lam) == 1.0 for lam in lams if lam == 0.0)
