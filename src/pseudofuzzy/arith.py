@@ -21,7 +21,7 @@ extension_oracle is the independent cross-check: it lifts the crisp
 operation pointwise over sampled supports with the sup-min rule and bins
 the results by membership level. It shares no code with the fast paths
 it checks, the cut kernel and the products of mul and div; it takes mu
-through mu_at.
+from ptfn's membership kernel.
 It is the package's only numpy user, and imports numpy on its first
 call, so importing the package and every CLI command never load it.
 """
@@ -55,10 +55,10 @@ from .ptfn import (
     PseudoTfn,
     TriangleShape,
     _lams,
+    _mus,
     _require_kind,
     _rows,
     _side,
-    mu_at,
 )
 
 TYPE_CHECKING = False
@@ -367,8 +367,12 @@ def extension_oracle(
 
     xs = _oracle_samples(p, grid)
     ys = _oracle_samples(q, grid)
-    mu_x = np.array([mu_at(p, float(x)) for x in xs])
-    mu_y = np.array([mu_at(q, float(y)) for y in ys])
+    samples = np.concatenate((xs, ys))
+    bad = samples[~np.isfinite(samples)]
+    if bad.size:  # a support whose width overflows: the error mu_at gives for the first
+        raise NonFinite(f"x must be finite, got {float(bad[0])!r}")
+    mu_x = np.array(_mus(p, xs.tolist()))  # the samples rise, as _mus needs
+    mu_y = np.array(_mus(q, ys.tolist()))
 
     results = _ORACLE_OPS[op](xs[:, None], ys[None, :])
     memberships = np.minimum(mu_x[:, None], mu_y[None, :])

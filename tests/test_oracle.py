@@ -8,6 +8,7 @@ from pseudofuzzy import (
     BinaryOpCode,
     DivisorStraddlesZero,
     KindMismatch,
+    NonFinite,
     PseudoTfn,
     add,
     cut_table,
@@ -69,6 +70,13 @@ class TestOracleDirect:
     def test_div_straddle(self):
         with pytest.raises(DivisorStraddlesZero):
             extension_oracle(DEP2, PseudoTfn.dependent(-1, 0, 1), BinaryOpCode.DIV, 64, 5)
+
+    def test_support_too_wide_to_sample(self):
+        # linspace over a support whose width overflows gives samples that are not finite
+        wide = PseudoTfn.dependent(-1e308, 1e308, 1.5e308)
+        for p, q in ((DEP, wide), (wide, DEP)):
+            with pytest.warns(RuntimeWarning), pytest.raises(NonFinite, match="^x must be finite, got inf$"):
+                extension_oracle(p, q, BinaryOpCode.ADD, 64, 5)
 
     def test_op_must_be_an_op_code(self):
         # a str is not read as the operation it names, even by a divisor that straddles zero
