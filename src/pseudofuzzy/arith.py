@@ -8,10 +8,10 @@ computed a chunk of rows at a time, from any row to any other, as
 (alphas, los, his) float columns: the cuts of each operand by ptfn's cut
 kernel, and the least and greatest of their four endpoint products. A
 chunk with a product that is not finite raises the error of its first
-such row. cut_table, mul and div collect all rows into a CutTable, whose
-rules _nested_rows checks, and the CLI writes them a chunk at a time.
-Rounding keeps the rows of a computed table by those rules, levels
-rising and cuts nested without slack, so the CLI checks none of them.
+such row. cut_table, mul and div collect all rows into a CutTable, which
+checks them, and the CLI writes them a chunk at a time.
+Rounding keeps the rows of a computed table by a CutTable's rules,
+levels rising and cuts nested without slack, so the CLI checks none of them.
 
 All positive-membership machinery is kind-agnostic; the negative grade of
 any result is recovered from the kind identity (lam = mu - 1 dependent,
@@ -74,9 +74,6 @@ DEFAULT_ORACLE_GRID = 256
 # the oracle holds about four (grid + 2)**2 float64 arrays: 0.53 GB traced at this bound
 MAX_ORACLE_GRID = 4096
 
-Row = tuple[float, float, float]  # (alpha, lo, hi) of a cut table
-
-
 class BinaryOpCode(enum.Enum):
     ADD = "add"
     SUB = "sub"
@@ -103,19 +100,37 @@ class CutTable(_Frozen):
         _set(self, "_values", (self.rows, kind))
 
     def __post_init__(self) -> None:
-        rows = tuple(self.rows)
-        for i, row in enumerate(rows):
+        """Check each row once, in order: its shape, its interval, its level,
+        its nesting. A table with several defects raises its first bad row's error."""
+        rows = []
+        for i, row in enumerate(self.rows):
             size = len(row) if hasattr(row, "__len__") else None
             if size != 2:
                 found = type(row).__name__ if size is None else f"{size} values"
                 raise TypeError(f"row {i}: expected an (alpha, Interval) pair, got {found}")
-            _, interval = row
+            alpha, interval = row
             if not isinstance(interval, Interval):
                 found = type(interval).__name__
                 raise TypeError(f"row {i}: interval must be an Interval, got {found}")
-        rows = tuple((float(alpha), interval) for alpha, interval in rows)
-        _set(self, "rows", rows)
-        _nested_rows((alpha, interval.lo, interval.hi) for alpha, interval in rows)
+            alpha = float(alpha)
+            if i == 0:
+                if alpha != 0.0:
+                    raise InvalidCutTable("levels must start at 0 and end at 1")
+            else:
+                if not alpha > last:  # a NaN level fails too
+                    raise InvalidCutTable(f"levels not strictly increasing at row {i}")
+                # slack scales with endpoint magnitude: endpoint products of
+                # wide triangles carry rounding beyond any absolute tolerance
+                slack = DEFAULT_EPS * max(1.0, abs(outer.lo), abs(outer.hi))
+                if not (interval.lo >= outer.lo - slack and interval.hi <= outer.hi + slack):
+                    raise InvalidCutTable(f"row {i} not nested inside row {i - 1}")
+            last, outer = alpha, interval
+            rows.append((alpha, interval))
+        if len(rows) < 2:
+            raise InvalidCutTable(f"need at least 2 rows, got {len(rows)}")
+        if last != 1.0:
+            raise InvalidCutTable("levels must start at 0 and end at 1")
+        _set(self, "rows", tuple(rows))
 
     @property
     def alphas(self) -> tuple[float, ...]:
@@ -124,35 +139,6 @@ class CutTable(_Frozen):
     @property
     def support(self) -> Interval:
         return self.rows[0][1]
-
-
-def _nested_rows(rows: Iterable[Row]) -> None:
-    """Check (alpha, lo, hi) rows by the rules of a CutTable.
-
-    Levels start at 0, rise strictly and end at 1; each row nests inside
-    the one before it, within a slack for rounding. The first row that
-    breaks a rule raises its error, and the row count and the last level
-    are checked once the rows run out.
-    """
-    count = 0
-    for alpha, lo, hi in rows:
-        if count == 0:
-            if alpha != 0.0:
-                raise InvalidCutTable("levels must start at 0 and end at 1")
-        else:
-            if alpha <= last:
-                raise InvalidCutTable(f"levels not strictly increasing at row {count}")
-            # slack scales with endpoint magnitude: endpoint products of
-            # wide triangles carry rounding beyond any absolute tolerance
-            slack = DEFAULT_EPS * max(1.0, abs(outer_lo), abs(outer_hi))
-            if not (lo >= outer_lo - slack and hi <= outer_hi + slack):
-                raise InvalidCutTable(f"row {count} not nested inside row {count - 1}")
-        last, outer_lo, outer_hi = alpha, lo, hi
-        count += 1
-    if count < 2:
-        raise InvalidCutTable(f"need at least 2 rows, got {count}")
-    if last != 1.0:
-        raise InvalidCutTable("levels must start at 0 and end at 1")
 
 
 def _require_same_kind(p: PseudoTfn, q: PseudoTfn) -> Kind:
@@ -236,7 +222,9 @@ def _cuts(p: PseudoTfn, levels: int) -> tuple[ColumnsOf, int]:
 
 
 def _cut_columns(p: PseudoTfn, last: int, start: int, stop: int) -> Columns:
-    """The (alphas, los, his) columns of the alpha-cuts of p at levels j / last, j from start to stop - 1."""
+    """The (alphas, los, his) columns of the alpha-cuts of p at levels j / last,
+    j from start to stop - 1, start < stop.
+    """
     alphas = _levels(last, start, stop)
     return alphas, *_side(p, alphas)
 
@@ -257,7 +245,8 @@ def _products(op: str, p: PseudoTfn, q: PseudoTfn, levels: int) -> tuple[Columns
 def _product_columns(
     op: str, p: PseudoTfn, q: PseudoTfn, last: int, start: int, stop: int
 ) -> Columns:
-    """The (alphas, los, his) columns of p * q (mul) or p / q (div) at levels j / last, j from start to stop - 1.
+    """The (alphas, los, his) columns of p * q (mul) or p / q (div) at levels j / last,
+    j from start to stop - 1, start < stop.
 
     Each row's lo and hi are the least and the greatest of the four
     products of the endpoints of p's cut and of q's (mul) or its
@@ -267,7 +256,7 @@ def _product_columns(
     """
     alphas = _levels(last, start, stop)
     u, v = _side(p, alphas), _side(q, alphas)
-    if op == "div" and alphas:
+    if op == "div":
         # cuts shrink toward the peak as alpha rises, so the rows whose
         # divisor cut holds 0 or has a reciprocal that overflows come first:
         # if the chunk's first row has an ordered, finite reciprocal, every row has
@@ -290,7 +279,7 @@ def _product_columns(
         his.append(hi)
     del u, v
     # lo <= hi in every row: min and max bound them
-    if alphas and not (-math.inf < min(los) and max(his) < math.inf):
+    if not (-math.inf < min(los) and max(his) < math.inf):
         first = next(i for i, (lo, hi) in enumerate(zip(los, his)) if not -math.inf < lo <= hi < math.inf)
         _overflow(op, alphas[first], p, q)
     return alphas, los, his
@@ -325,8 +314,12 @@ def _oracle_samples(p: PseudoTfn, grid: int) -> np.ndarray:
     import numpy as np
 
     # grid uniform subintervals over the support, plus the peak so the
-    # level set at alpha = 1 is never empty
-    xs = np.linspace(p.a, p.c, grid + 1)
+    # level set at alpha = 1 is never empty; where the width overflows,
+    # over the halved support, whose samples doubling keeps finite
+    if p.c - p.a < math.inf:
+        xs = np.linspace(p.a, p.c, grid + 1)
+    else:
+        xs = 2.0 * np.linspace(0.5 * p.a, 0.5 * p.c, grid + 1)
     return np.unique(np.append(xs, p.b))
 
 
@@ -367,10 +360,6 @@ def extension_oracle(
 
     xs = _oracle_samples(p, grid)
     ys = _oracle_samples(q, grid)
-    samples = np.concatenate((xs, ys))
-    bad = samples[~np.isfinite(samples)]
-    if bad.size:  # a support whose width overflows: the error mu_at gives for the first
-        raise NonFinite(f"x must be finite, got {float(bad[0])!r}")
     mu_x = np.array(_mus(p, xs.tolist()))  # the samples rise, as _mus needs
     mu_y = np.array(_mus(q, ys.tolist()))
 
@@ -378,8 +367,7 @@ def extension_oracle(
     memberships = np.minimum(mu_x[:, None], mu_y[None, :])
 
     rows = []
-    for j in range(last + 1):
-        alpha = j / last
+    for alpha in _levels(last, 0, last + 1):
         reached = results[memberships >= alpha]
         rows.append((alpha, Interval(float(reached.min()), float(reached.max()))))
     return CutTable(tuple(rows), kind)
@@ -406,13 +394,13 @@ def lambda_of_result(table: CutTable, x: float) -> MembershipPair:
         k = bisect_left(rows, True, 1, len(rows) - 1, key=lambda row: not row[1].contains(x)) - 1
         alpha_lo, wide = rows[k]
         alpha_hi, narrow = rows[k + 1]
-        if x < narrow.lo:
-            gap = narrow.lo - wide.lo
-            t = (x - wide.lo) / gap if gap > 0.0 else 1.0
-        else:
-            gap = wide.hi - narrow.hi
-            t = (wide.hi - x) / gap if gap > 0.0 else 1.0
+        # x lies from the edge of row k up to, not at, row k + 1's edge on
+        # one side, so 0 <= t <= 1 and 0 <= mu <= 1 (README, "Checks that
+        # cannot fail"); where the gap overflows, halving all three is exact
+        edge, stop = (wide.lo, narrow.lo) if x < narrow.lo else (wide.hi, narrow.hi)
+        if abs(stop - edge) == math.inf:
+            edge, stop, x = 0.5 * edge, 0.5 * stop, 0.5 * x
+        t = (x - edge) / (stop - edge)
         mu = alpha_lo + t * (alpha_hi - alpha_lo)
-        mu = min(max(mu, 0.0), 1.0)
     [lam] = _lams(table.kind, [mu])
     return MembershipPair(mu, lam)

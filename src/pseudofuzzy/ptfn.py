@@ -226,7 +226,7 @@ def pair_at(p: PseudoTfn, x: float) -> MembershipPair:
 
 
 def _side(p: PseudoTfn, alphas: list[float]) -> tuple[list[float], list[float]]:
-    """The cut kernel: the (los, his) columns of the alpha-cuts of p at each of alphas, which rise.
+    """The cut kernel: the (los, his) columns of the alpha-cuts of p at each of alphas, one or more, which rise.
 
     Where a side b - a or c - b overflows, the triangle is halved, which is
     exact, and its cuts doubled. Then every cut is finite, and rounding
@@ -243,7 +243,7 @@ def _side(p: PseudoTfn, alphas: list[float]) -> tuple[list[float], list[float]]:
     if half:
         los = [2.0 * lo for lo in los]
         his = [2.0 * hi for hi in his]
-    if alphas and alphas[-1] == 1.0:  # only the last level can be 1, where the cut is the peak
+    if alphas[-1] == 1.0:  # only the last level can be 1, where the cut is the peak
         los[-1] = his[-1] = p.b
     return los, his
 
@@ -319,7 +319,7 @@ def _sample(
 
 
 def _sample_columns(p: PseudoTfn, n: int, xmin: float, xmax: float, start: int, stop: int) -> Columns:
-    """The rows start to stop - 1 of _sample's n rows, as (xs, mus, lams) columns.
+    """The rows start to stop - 1 of _sample's n rows, start < stop, as (xs, mus, lams) columns.
 
     Row i's x is xmin + (i * step) / (n - 1) * scale, the last one xmax.
     mu is _mus's and lam _lams's. The xs are checked whole: they rise
@@ -330,8 +330,6 @@ def _sample_columns(p: PseudoTfn, n: int, xmin: float, xmax: float, start: int, 
     floats too, as rounding is monotone, so mu lies in [0, 1] and lam in
     [-1, 0].
     """
-    if start >= stop:
-        return [], [], []
     inf = math.inf
     span, last = xmax - xmin, n - 1
     # 1.0 changes no bits; past the float range, a power of two keeps i * step finite

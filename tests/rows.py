@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
-from pseudofuzzy.arith import Row, _overflow
+from pseudofuzzy.arith import _overflow
 from pseudofuzzy.core import _bad_row
 from pseudofuzzy.ptfn import Kind, PseudoTfn
+
+Row = tuple[float, float, float]  # (alpha, lo, hi) of a cut table
 
 
 def plain_mu(a: float, b: float, c: float, x: float) -> float:

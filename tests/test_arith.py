@@ -267,6 +267,15 @@ class TestLambdaOfResult:
             assert got.mu == pytest.approx(mu_at(DEP2, x), abs=1e-12)
             assert got.lam == pytest.approx(got.mu - 1.0, abs=1e-12)
 
+    def test_a_gap_that_overflows_is_halved(self):
+        # wide.hi - narrow.hi overflows; halving x and both edges is exact,
+        # so mu is the closed form (c - x) / (c - b) as mu_at computes it
+        p = PseudoTfn.dependent(-1.7e308, -1.7e308, 1.7e308)
+        x = -8.466437450475705e307
+        pair = lambda_of_result(cut_table(p, 2), x)
+        assert pair.mu == mu_at(p, x) == 0.7490128661904619
+        assert pair.lam == pair.mu - 1.0
+
     def test_emitted_pairs_always_validate(self):
         table = mul(PseudoTfn.independent(-2, 0.5, 3), PseudoTfn.independent(1, 2, 8), 9)
         for x in (-50.0, -6.0, 0.0, 1.0, 7.7, 24.0, 999.0):

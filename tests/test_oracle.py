@@ -1,6 +1,8 @@
 """Brute-force extension-principle oracle: direct checks and agreement
 with the closed-form cut arithmetic at its sampling convergence bound."""
 
+import math
+
 import pytest
 
 from pseudofuzzy import (
@@ -8,7 +10,6 @@ from pseudofuzzy import (
     BinaryOpCode,
     DivisorStraddlesZero,
     KindMismatch,
-    NonFinite,
     PseudoTfn,
     add,
     cut_table,
@@ -71,12 +72,21 @@ class TestOracleDirect:
         with pytest.raises(DivisorStraddlesZero):
             extension_oracle(DEP2, PseudoTfn.dependent(-1, 0, 1), BinaryOpCode.DIV, 64, 5)
 
-    def test_support_too_wide_to_sample(self):
-        # linspace over a support whose width overflows gives samples that are not finite
+    def test_support_whose_width_overflows(self):
+        # the halved support is sampled and its samples doubled, which keeps
+        # them finite, with no numpy warning (which fails a test, by
+        # pyproject.toml): each endpoint is off add's by h_p + h_q at most,
+        # where h = width / grid, plus the rounding of samples and sums
         wide = PseudoTfn.dependent(-1e308, 1e308, 1.5e308)
+        grid = 64
+        bound = (DEP.c - DEP.a) / grid + (wide.c / grid - wide.a / grid) + 4 * math.ulp(wide.c)
+        want = cut_table(add(DEP, wide), 5)
         for p, q in ((DEP, wide), (wide, DEP)):
-            with pytest.warns(RuntimeWarning), pytest.raises(NonFinite, match="^x must be finite, got inf$"):
-                extension_oracle(p, q, BinaryOpCode.ADD, 64, 5)
+            got = extension_oracle(p, q, BinaryOpCode.ADD, grid, 5)
+            assert got.alphas == want.alphas
+            for (_, gi), (_, wi) in zip(got.rows, want.rows):
+                assert abs(gi.lo - wi.lo) <= bound
+                assert abs(gi.hi - wi.hi) <= bound
 
     def test_op_must_be_an_op_code(self):
         # a str is not read as the operation it names, even by a divisor that straddles zero

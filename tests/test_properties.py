@@ -10,6 +10,8 @@ from pseudofuzzy import (
     DEFAULT_EPS,
     BinaryOpCode,
     CaseLabel,
+    CutTable,
+    Interval,
     Kind,
     MembershipPair,
     PseudoTfn,
@@ -281,6 +283,47 @@ def test_lambda_of_result_bisection_matches_the_scan(shape1, shape2, divisor, ki
         st.floats(min_value=support.lo - 1.0, max_value=support.hi + 1.0),
     ))
     assert lambda_of_result(table, x) == scanned_lambda_of_result(table, x)
+
+
+# a side moves out by a share of CutTable's slack (< 0) or in by a share of the width
+moves = st.one_of(st.floats(min_value=-1.0, max_value=0.0), st.floats(min_value=0.0, max_value=0.5))
+
+
+@st.composite
+def slack_tables(draw):
+    """CutTables of bare rows at any rising levels, each row reaching past
+    the row before it by up to CutTable's slack, on any scale: gaps between
+    edges may overflow."""
+    inner = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    alphas = [0.0, *sorted(set(draw(st.lists(inner, max_size=6)))), 1.0]
+    ends = st.floats(min_value=-1.7e308, max_value=1.7e308)
+    lo, hi = sorted((draw(ends), draw(ends)))
+    rows = [(0.0, Interval(lo, hi))]
+    for alpha in alphas[1:]:
+        slack = DEFAULT_EPS * max(1.0, abs(lo), abs(hi))
+        out_lo, out_hi = draw(moves), draw(moves)
+        lo, hi = sorted((lo + out_lo * slack if out_lo < 0.0 else lo + (out_lo * hi - out_lo * lo),
+                         hi - out_hi * slack if out_hi < 0.0 else hi - (out_hi * hi - out_hi * lo)))
+        rows.append((alpha, Interval(lo, hi)))
+    return CutTable(rows, draw(kinds))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slack_tables())
+@example(CutTable([(0.0, Interval(0.0, 1.0)), (0.5, Interval(-1e-12, 1.0 + 1e-12)), (1.0, Interval(0.5, 0.5))],
+                  Kind.DEPENDENT))
+@example(CutTable([(0.0, Interval(-1.7e308, 1.7e308)), (1.0 - 2**-53, Interval(1e308, 1e308)),
+                   (1.0, Interval(1e308, 1e308))], Kind.INDEPENDENT))
+def test_lambda_of_result_stays_in_range_on_tables_nested_within_the_slack(table):
+    # wherever the bisection stops, row k holds x and row k + 1 does not,
+    # nested or not, so 0 <= t <= 1 and mu lies in [0, 1] unclamped
+    ends = sorted({end for _, iv in table.rows for end in (iv.lo, iv.hi)})
+    xs = [x for end in ends for x in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf))]
+    xs += [0.5 * lo + 0.5 * hi for lo, hi in zip(ends, ends[1:])]
+    for x in xs:
+        pair = lambda_of_result(table, x)
+        assert type(pair) is MembershipPair
+        assert 0.0 <= pair.mu <= 1.0
 
 
 @given(ptfns, sample_xs)

@@ -121,6 +121,8 @@ def test_wrong_arity_or_unknown_keyword_is_a_type_error(cls, args, kwargs, text)
      "row 1 not nested inside row 0"),
     (lambda: CutTable((SLACK_ROWS[0], (0.5, Interval(-1e-12, 1 + 1e-8)), SLACK_ROWS[2]), DEP),
      InvalidCutTable, "row 1 not nested inside row 0"),  # beyond the slack
+    (lambda: CutTable((ROWS[0], (float("nan"), Interval(0.5, 1.5)), ROWS[1]), DEP), InvalidCutTable,
+     "levels not strictly increasing at row 1"),
 ])
 def test_checks_keep_their_errors(build, error, message):
     with pytest.raises(error) as info:
