@@ -45,6 +45,7 @@ from .core import (
 from .errors import (
     DivisorStraddlesZero,
     InvalidCutTable,
+    InvalidShape,
     KindMismatch,
     NonFinite,
     ZeroScale,
@@ -189,6 +190,8 @@ def scale(p: PseudoTfn, k: float) -> PseudoTfn:
         return PseudoTfn(TriangleShape(*feet), p.kind)
     except NonFinite as exc:
         raise NonFinite(f"scale overflows on {_feet(p)} * {k!r}: {exc}") from None
+    except InvalidShape as exc:  # the feet rounded to one point
+        raise InvalidShape(f"scale underflows on {_feet(p)} * {k!r}: {exc}") from None
 
 
 def _overflow(op: str, alpha: float, p: PseudoTfn, q: PseudoTfn) -> NoReturn:
@@ -363,7 +366,13 @@ def extension_oracle(
     mu_x = np.array(_mus(p, xs.tolist()))  # the samples rise, as _mus needs
     mu_y = np.array(_mus(q, ys.tolist()))
 
-    results = _ORACLE_OPS[op](xs[:, None], ys[None, :])
+    try:
+        with np.errstate(over="raise"):
+            results = _ORACLE_OPS[op](xs[:, None], ys[None, :])
+    except FloatingPointError:
+        raise NonFinite(
+            f"{op.value} overflows on {_feet(p)} and {_feet(q)}: a crisp result is not finite"
+        ) from None
     memberships = np.minimum(mu_x[:, None], mu_y[None, :])
 
     rows = []

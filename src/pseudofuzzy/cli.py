@@ -5,17 +5,18 @@ exactly the fields a, b, c (numbers) and kind ("dependent" or
 "independent"). Commands read the document from a file path or from
 standard input when the path is "-", as bytes. verify --table reads a
 curve CSV a block of lines at a time, as (xs, mus, lams) columns that
-ptfn's one kind checker takes as they come; a large table is read by two
-processes on two CPUs, a forked child checking the lines after its middle
-while this one checks those before, and their verdicts merge into those
-of one process. Each command returns its output as a head, columns_of
-and a row count, and main writes them with _write_rows, the only code
-here that writes standard output. columns_of computes the three columns
-of any run of rows, so a large table is written a chunk at a time, its
-columns interleaved into one % template, by two processes on two CPUs:
-this one the even chunks, a forked child the odd ones, taking turns. A
-child that cannot compute or write its chunk exits, and this one writes
-that chunk and the rest: output and errors are those of one process.
+ptfn's one kind checker takes as they come. Each command returns its
+output as a head, columns_of and a row count, and main writes them with
+_write_rows, the only code here that writes standard output. columns_of
+computes the three columns of any run of rows, so a table is written a
+chunk at a time, its columns interleaved into one % template.
+On two CPUs a large table is written by two processes, this one the even
+chunks and a forked child the odd ones, in one turn loop; and a large
+verify --table input is read by two, a forked child checking the lines
+after its middle while this one checks those before. One rule covers
+both: a forked schedule returns where it stopped, and this process
+finishes the rest as on one CPU, so output and errors are those of one
+process.
 
 Exit codes: 0 success, 2 parse/format/I-O error, 3 domain error, 4 kind
 mismatch, 5 divisor straddles zero.
@@ -147,10 +148,9 @@ def _write_rows(head: str, columns_of: ColumnsOf, count: int) -> None:
 
     # a stream a caller swapped in is written by this process alone
     real_stdout = sys.stdout is not None and sys.stdout is sys.__stdout__
-    if chunks >= _FORK_CHUNKS and real_stdout and _two_cpus():
-        _write_forked(text_of, chunks)
-    else:
-        _write_chunks(text_of, 0, chunks)
+    forked = chunks >= _FORK_CHUNKS and real_stdout and _two_cpus()
+    for k in range(_write_forked(text_of, chunks) if forked else 0, chunks):
+        _write(text_of(k))
 
 
 def _two_cpus() -> bool:
@@ -164,20 +164,12 @@ def _write(text: str) -> None:
     sys.stdout.write(text)  # looked up per call: callers may swap sys.stdout
 
 
-def _write_chunks(text_of: Callable[[int], str], first: int, chunks: int) -> None:
-    for k in range(first, chunks):
-        _write(text_of(k))
+def _write_forked(text_of: Callable[[int], str], chunks: int) -> int:
+    """Write chunks of text_of in order from 0, the odd ones from a forked child.
 
-
-def _write_forked(text_of: Callable[[int], str], chunks: int) -> None:
-    """Write chunks 0 to chunks - 1 of text_of in order, the odd ones from a forked child.
-
-    Each process computes its next chunk while the other writes, then
-    waits for its turn: a "t" on a pipe, each way, once a chunk is written.
-    A child that cannot compute or write its chunk exits; at the end of its
-    pipe the parent writes that chunk and the rest. The parent raises a
-    chunk's error only once the chunks before it are written: output and
-    errors are those of _write_chunks in one process.
+    The two processes run the one loop of _take_turns, on a pipe each way.
+    Return the first chunk left unwritten, for the caller to write it and
+    the rest: 0 if no child can be forked, chunks once all are written.
     """
     sys.stdout.flush()  # the child's copy of the buffer starts empty
     fds = []
@@ -185,52 +177,55 @@ def _write_forked(text_of: Callable[[int], str], chunks: int) -> None:
         fds += os.pipe()  # the turn, parent to child
         fds += os.pipe()  # the turn, child to parent
         pid = os.fork()
-    except OSError:  # no descriptor or process to spare: one process writes it all
+    except OSError:  # no descriptor or process to spare
         for fd in fds:
             os.close(fd)
-        _write_chunks(text_of, 0, chunks)
-        return
+        return 0
     turn_r, turn_w, ack_r, ack_w = fds
     if pid == 0:
         try:
             os.close(turn_w)
             os.close(ack_r)
-            for k in range(1, chunks, 2):
-                text = text_of(k)
-                if os.read(turn_r, 1) != b"t":  # the parent stopped
-                    break
-                _write(text)
-                sys.stdout.flush()
-                os.write(ack_w, b"t")
+            _take_turns(text_of, 1, chunks, turn_r, ack_w)
         finally:  # an error, too, ends the child here: the parent computes the chunk again
             os._exit(0)  # no cleanup and no flush: the parent owns the exit
     os.close(turn_r)
     os.close(ack_w)
     try:
-        for k in range(0, chunks + 1, 2):  # one past the last chunk, to wait for the child's
-            error = None
-            try:
-                text = text_of(k) if k < chunks else ""
-            except Exception as exc:  # raised only once chunk k - 1 is written
-                error = exc
-            if k and os.read(ack_r, 1) != b"t":  # the end of the pipe: the child stopped
-                _write_chunks(text_of, k - 1, chunks)  # the child did not write chunk k - 1
-                return
-            if error is not None:
-                raise error
-            if k == chunks:
-                return
-            _write(text)
-            if k + 1 < chunks:
-                sys.stdout.flush()
-                try:
-                    os.write(turn_w, b"t")
-                except OSError:  # the child is gone; the end of its pipe tells
-                    pass
+        return _take_turns(text_of, 0, chunks, ack_r, turn_w)
     finally:
         os.close(turn_w)
         os.close(ack_r)
         os.waitpid(pid, 0)
+
+
+def _take_turns(text_of: Callable[[int], str], first: int, chunks: int, wait: int, done: int) -> int:
+    """Write chunks first, first + 2, ... of text_of in turn with another process; return chunks.
+
+    Chunk k is computed while the other process writes chunk k - 1, and
+    written once that process sends "t" on wait; a "t" on done then passes
+    the turn. The loop runs to k = chunks, an empty chunk, so one process
+    waits for the other's last one. A chunk's error is raised only once
+    the chunk before it is written. At the end of wait the other process
+    stopped before writing chunk k - 1, and k - 1 is returned.
+    """
+    for k in range(first, chunks + 1, 2):
+        error = None
+        try:
+            text = text_of(k) if k < chunks else ""
+        except Exception as exc:  # raised only once chunk k - 1 is written
+            error = exc
+        if k and os.read(wait, 1) != b"t":  # the other process stopped
+            return k - 1
+        if error is not None:
+            raise error
+        _write(text)
+        sys.stdout.flush()
+        try:
+            os.write(done, b"t")
+        except OSError:  # the other process is gone; the end of its pipe tells
+            pass
+    return chunks
 
 
 def _unique_fields(pairs: list[tuple[str, object]]) -> dict[str, object]:
@@ -384,37 +379,40 @@ def _table_violation(data: bytes, kind: Kind, eps: float) -> float | None:
     """The first kind violation of the curve CSV data, read as _CurveReader reads it.
 
     A table of _FORK_BYTES or more is read by two processes when there are
-    two CPUs (see _read_forked), with the verdict and errors of one.
+    two CPUs (see _read_forked); this process reads what they leave, and
+    the verdict and errors are those of one.
     """
     reader = _CurveReader()
     split = _middle_line(data)
+    violation, end = None, 0
     if len(data) >= _FORK_BYTES and split < len(data) and _two_cpus():
-        violation = _read_forked(reader, data, split, kind, eps)
-    else:
-        violation = _first_violation(reader.columns(data, 0, len(data)), kind, eps)
+        violation, end = _read_forked(reader, data, split, kind, eps)
+    later = _first_violation(reader.columns(data, end, len(data)), kind, eps)
     reader.end()
-    return violation
+    return later if violation is None else violation
 
 
-def _read_forked(reader: _CurveReader, data: bytes, split: int, kind: Kind, eps: float) -> float | None:
-    """The first kind violation of data, its lines from split on read by a forked child.
+def _read_forked(
+    reader: _CurveReader, data: bytes, split: int, kind: Kind, eps: float
+) -> tuple[float | None, int]:
+    """(violation, end): the first kind violation of data[:end], its lines from split read by a child.
 
     The child reads them as data lines, and if they pass writes its row
     count, first x and first violation to a pipe as one _ANSWER_BYTES
     answer. Meanwhile this process reads data[:split]; a defect there
-    stops the child. It takes the child's answer only if its own half held
-    the header and the child's first x lies above its own last x; otherwise
-    it reads data[split:] itself, where it left off, so the verdict and any
-    error are those of one process.
+    stops the child. It takes the child's answer, and end is len(data),
+    only if its own half held the header and the child's first x lies
+    above its own last x; otherwise end is split, and 0 if no child can
+    be forked. The caller reads data[end:] with the same reader.
     """
     fds = []
     try:
         fds += os.pipe()
         pid = os.fork()
-    except OSError:  # no descriptor or process to spare: one process reads it all
+    except OSError:  # no descriptor or process to spare
         for fd in fds:
             os.close(fd)
-        return _first_violation(reader.columns(data, 0, len(data)), kind, eps)
+        return None, 0
     answer_r, answer_w = fds
     if pid == 0:
         try:
@@ -440,9 +438,8 @@ def _read_forked(reader: _CurveReader, data: bytes, split: int, kind: Kind, eps:
             reader.rows += int(rows)
             if violation is None and later != b"None":
                 violation = float(later)
-            return violation
-    later = _first_violation(reader.columns(data, split, len(data)), kind, eps)
-    return later if violation is None else violation
+            return violation, len(data)
+    return violation, split
 
 
 def _block_columns(lines: list[str], prev: float) -> Columns | None:

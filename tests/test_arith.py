@@ -8,6 +8,7 @@ from pseudofuzzy import (
     DivisorStraddlesZero,
     Interval,
     InvalidCutTable,
+    InvalidShape,
     Kind,
     KindMismatch,
     MembershipPair,
@@ -155,21 +156,24 @@ HUGE = PseudoTfn.dependent(1e308, 1.5e308, 1.7e308)
 
 
 @pytest.mark.parametrize(
-    "result,message",
+    "result,error,message",
     [
-        (lambda: add(HUGE, HUGE),
+        (lambda: add(HUGE, HUGE), NonFinite,
          "add overflows on (1e+308, 1.5e+308, 1.7e+308) + "
          "(1e+308, 1.5e+308, 1.7e+308): a must be finite, got inf"),
-        (lambda: sub(HUGE, scale(HUGE, -1.0)),
+        (lambda: sub(HUGE, scale(HUGE, -1.0)), NonFinite,
          "sub overflows on (1e+308, 1.5e+308, 1.7e+308) - "
          "(-1.7e+308, -1.5e+308, -1e+308): a must be finite, got inf"),
-        (lambda: scale(HUGE, -2.0),
+        (lambda: scale(HUGE, -2.0), NonFinite,
          "scale overflows on (1e+308, 1.5e+308, 1.7e+308) * -2.0: a must be finite, got -inf"),
+        # every foot of the product rounds to 0.0
+        (lambda: scale(PseudoTfn.dependent(0, 0.1, 0.2), 5e-324), InvalidShape,
+         "scale underflows on (0.0, 0.1, 0.2) * 5e-324: zero-width triangle a == c == 0.0"),
     ],
-    ids=["add", "sub", "scale"],
+    ids=["add", "sub", "scale", "scale-underflow"],
 )
-def test_shape_overflow_names_operation_and_operands(result, message):
-    with pytest.raises(NonFinite) as info:
+def test_shape_overflow_names_operation_and_operands(result, error, message):
+    with pytest.raises(error) as info:
         result()
     assert str(info.value) == message
 

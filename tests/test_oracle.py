@@ -10,6 +10,7 @@ from pseudofuzzy import (
     BinaryOpCode,
     DivisorStraddlesZero,
     KindMismatch,
+    NonFinite,
     PseudoTfn,
     add,
     cut_table,
@@ -87,6 +88,24 @@ class TestOracleDirect:
             for (_, gi), (_, wi) in zip(got.rows, want.rows):
                 assert abs(gi.lo - wi.lo) <= bound
                 assert abs(gi.hi - wi.hi) <= bound
+
+    @pytest.mark.parametrize("feet, ops", [
+        ((1e200, 2e200, 3e200), [BinaryOpCode.MUL]),
+        ((1e308, 1.5e308, 1.7e308), [BinaryOpCode.ADD, BinaryOpCode.MUL]),
+    ], ids=["1e200", "1e308"])
+    def test_crisp_overflow_names_operation_and_operands(self, feet, ops):
+        # the error of the oracle, not numpy's RuntimeWarning and then a bad interval's
+        p = PseudoTfn.dependent(*feet)
+        shown = f"({feet[0]!r}, {feet[1]!r}, {feet[2]!r})"
+        for op in BinaryOpCode:
+            if op in ops:
+                with pytest.raises(NonFinite) as info:
+                    extension_oracle(p, p, op, 16, 3)
+                assert str(info.value) == (
+                    f"{op.value} overflows on {shown} and {shown}: a crisp result is not finite"
+                )
+            else:
+                assert len(extension_oracle(p, p, op, 16, 3).rows) == 3
 
     def test_op_must_be_an_op_code(self):
         # a str is not read as the operation it names, even by a divisor that straddles zero
