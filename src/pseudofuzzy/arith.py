@@ -98,7 +98,6 @@ class CutTable(_Frozen):
         _set(self, "rows", rows)
         _set(self, "kind", _require_kind(kind))
         self.__post_init__()  # through self, so a wrapper set on the class sees the call
-        _set(self, "_values", (self.rows, kind))
 
     def __post_init__(self) -> None:
         """Check each row once, in order: its shape, its interval, its level,

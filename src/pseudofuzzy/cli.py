@@ -92,7 +92,6 @@ _NO_HEADER = f"curve CSV must start with header '{_CURVE_HEADER}'"
 
 # a row of three values as _fmt writes them; "%.12g" % v is f"{v:.12g}"
 _ROW = "%.12g,%.12g,%.12g\n"
-_CHUNK = _ROW * _CHUNK_ROWS
 # bytes of a CSV table decoded, split and parsed at a time. A block's lines,
 # fields and floats are held together: verify --table's traced peak is the
 # file's size plus about 35 times this
@@ -116,10 +115,9 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.12g}"
 
 
-def _given(head: str, *rows: Sequence[float]) -> _Output:
-    """The output of a command whose rows, if any, are in hand."""
-    columns = tuple(zip(*rows)) or ((), (), ())
-    return head, lambda start, stop: tuple(column[start:stop] for column in columns), len(rows)
+def _given(head: str) -> _Output:
+    """The output of a command that prints head alone."""
+    return head, lambda start, stop: ((), (), ()), 0
 
 
 def _write_rows(head: str, columns_of: ColumnsOf, count: int) -> None:
@@ -144,7 +142,7 @@ def _write_rows(head: str, columns_of: ColumnsOf, count: int) -> None:
             # + 0.0 folds -0.0, as in _fmt; a column is dropped once it is in values
             values[i::3] = [value + 0.0 for value in columns[i]]
             columns[i] = None
-        return ("" if k else head) + (_CHUNK if size == _CHUNK_ROWS else _ROW * size) % tuple(values)
+        return ("" if k else head) + _ROW * size % tuple(values)
 
     # a stream a caller swapped in is written by this process alone
     real_stdout = sys.stdout is not None and sys.stdout is sys.__stdout__
@@ -401,9 +399,10 @@ def _read_forked(
     count, first x and first violation to a pipe as one _ANSWER_BYTES
     answer. Meanwhile this process reads data[:split]; a defect there
     stops the child. It takes the child's answer, and end is len(data),
-    only if its own half held the header and the child's first x lies
-    above its own last x; otherwise end is split, and 0 if no child can
-    be forked. The caller reads data[end:] with the same reader.
+    only if the child's first x lies above its own last x; otherwise end
+    is split, and 0 if no child can be forked. The caller reads data[end:]
+    with the same reader, whose end() then refuses a table whose header
+    this half did not hold, as a read of data[split:] would.
     """
     fds = []
     try:
@@ -432,7 +431,7 @@ def _read_forked(
     finally:
         os.close(answer_r)
         os.waitpid(pid, 0)
-    if reader.header is not None and len(answer) == _ANSWER_BYTES:
+    if len(answer) == _ANSWER_BYTES:
         rows, first, later = answer.split()
         if float(first) > reader.last:  # the row check of the child's first row
             reader.rows += int(rows)
@@ -493,7 +492,7 @@ def _bad_curve_line(lines: list[str], offset: int, prev: float) -> NoReturn:
 def cmd_eval(args: argparse.Namespace) -> _Output:
     p = _load_ptfn(args.ptfn)
     pair = pair_at(p, args.x)
-    return _given("", (args.x, pair.mu, pair.lam))
+    return _given(f"{_fmt(args.x)},{_fmt(pair.mu)},{_fmt(pair.lam)}\n")
 
 
 def cmd_curve(args: argparse.Namespace) -> _Output:
@@ -547,12 +546,10 @@ def cmd_verify(args: argparse.Namespace) -> _Output:
 
 
 class _NegativeNumber:
-    """argparse's negative-number matcher: "-" and then anything float() reads."""
+    """argparse's negative-number matcher, asked only of strings that start with "-": anything float() reads."""
 
     @staticmethod
     def match(text: str) -> bool:
-        if not text.startswith("-"):
-            return False
         try:
             float(text)
         except ValueError:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 
 from .errors import (
     BadCount,
@@ -108,19 +109,19 @@ class _Frozen:
     """Base of the immutable value classes.
 
     A subclass names its fields in __slots__ and its __init__ sets each
-    once with _set, then _values to the tuple of their values in that
-    order. ==, hash, repr, match patterns and pickling follow from those
-    two, as a frozen dataclass's follow from its fields; assigning or
-    deleting an attribute raises dataclasses.FrozenInstanceError, as
-    there. With the stored tuple, == and hash run a little faster than a
-    dataclass's; building it from the fields on each call made them up
-    to 1.7 times slower.
+    once with _set. ==, hash, repr, match patterns and pickling follow
+    from the slots, as a frozen dataclass's follow from its fields;
+    assigning or deleting an attribute raises
+    dataclasses.FrozenInstanceError, as there. Each field is stored once:
+    == and hash build the key of the fields on each call, at about a
+    frozen dataclass's speed, and no object holds a second copy of them.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = cls.__slots__
+        cls._key = operator.attrgetter(*cls.__slots__)
 
     def __setattr__(self, name: str, value: object) -> NoReturn:
         from dataclasses import FrozenInstanceError  # not on the import path: it costs ms
@@ -134,19 +135,19 @@ class _Frozen:
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values == other._values
+            return self._key(self) == other._key(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values)
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
         # rebuilt through __init__: the default slot state would meet the frozen __setattr__
-        return self.__class__, self._values
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
 
 class MembershipPair(_Frozen):
@@ -165,7 +166,6 @@ class MembershipPair(_Frozen):
             raise LambdaOutOfRange(f"lam must lie in [-1, 0], got {lam!r}")
         _set(self, "mu", mu)
         _set(self, "lam", lam)
-        _set(self, "_values", (mu, lam))
 
 
 class PseudoFuzzyElement(_Frozen):
@@ -181,7 +181,6 @@ class PseudoFuzzyElement(_Frozen):
             raise TypeError(f"pair must be a MembershipPair, got {type(pair).__name__}")
         _set(self, "x", x)
         _set(self, "pair", pair)
-        _set(self, "_values", (x, pair))
 
 
 class DiscretePseudoFuzzySet(_Frozen):
@@ -200,7 +199,6 @@ class DiscretePseudoFuzzySet(_Frozen):
                 _bad_row(i, prev, e.x, e.pair.mu, e.pair.lam)
             prev = e.x
         _set(self, "elements", elements)
-        _set(self, "_values", (elements,))
 
     def __iter__(self) -> Iterator[PseudoFuzzyElement]:
         return iter(self.elements)

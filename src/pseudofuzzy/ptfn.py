@@ -105,7 +105,6 @@ class TriangleShape(_Frozen):
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)
-        _set(self, "_values", (a, b, c))
 
     @property
     def width(self) -> float:
@@ -126,7 +125,6 @@ class Interval(_Frozen):
             raise InvalidInterval(f"need lo <= hi, got [{lo!r}, {hi!r}]")
         _set(self, "lo", lo)
         _set(self, "hi", hi)
-        _set(self, "_values", (lo, hi))
 
     @property
     def width(self) -> float:
@@ -148,7 +146,6 @@ class PseudoTfn(_Frozen):
             raise TypeError(f"shape must be a TriangleShape, got {type(shape).__name__}")
         _set(self, "shape", shape)
         _set(self, "kind", _require_kind(kind))
-        _set(self, "_values", (shape, kind))
 
     @classmethod
     def dependent(cls, a: float, b: float, c: float) -> "PseudoTfn":

@@ -1,17 +1,12 @@
 """The exit-code contract under odd input: whatever the arguments, JSON or
 curve table, the CLI exits 0, 2, 3, 4 or 5, and never with a traceback."""
 
-import contextlib
-import io
 import json
-import sys
 
 import pytest
-from conftest import run_cli
+from conftest import run_cli, run_main
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-
-from pseudofuzzy import cli
 
 CODES = {0, 2, 3, 4, 5}
 
@@ -115,24 +110,6 @@ def arguments(draw, input_path, other_path):
         argv = [source] + options(draw, ("--eps", numbers), ("--table", None),
                                   ("--kind", st.sampled_from(["dependent", "independent", "x"])))
     return [command, *argv, *draw(st.sampled_from([[]] * 8 + [["--frob"], ["extra"]]))]
-
-
-def run_main(argv, stdin):
-    """Exit code, stdout and stderr of cli.main run in this process; argparse's
-    SystemExit gives the exit code. stdin given as bytes comes with a buffer."""
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    as_bytes = isinstance(stdin, bytes)
-    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin)) if as_bytes else io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
 
 
 def check_contract(code, err):

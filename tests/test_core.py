@@ -133,6 +133,12 @@ class TestValidateSet:
         dset = validate_set([(1, (0.2, -0.2)), (2, (0.8, -0.8))])
         assert dset.elements[1].x == 2.0
 
+    def test_pair_instance_form(self):
+        pair = MembershipPair(0.8, -0.8)
+        dset = validate_set([(1, MembershipPair(0.2, -0.2)), (2, pair)])
+        assert dset.elements[1] == PseudoFuzzyElement(2.0, pair)
+        assert dset.elements[1].pair is pair
+
     def test_element_instances_pass_through(self):
         element = PseudoFuzzyElement(1.0, MembershipPair(0.5, -0.5))
         assert validate_set([element]).elements == (element,)

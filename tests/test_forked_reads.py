@@ -7,24 +7,15 @@ has a timeout: a child that outlived the CLI would hold its stdout pipe
 open and make communicate time out."""
 
 import os
-import subprocess
-import sys
-import textwrap
 from unittest import mock
 
 import pytest
+from conftest import BLOCKS, can_fork, count_forks, decorated_tables, one_cpu, run_cold, run_main
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_forked_writes import TIMEOUT_S, one_cpu, run_cold
-from test_streaming import BLOCKS, decorated_tables, run_main
 
 from pseudofuzzy import cli
 
-can_fork = pytest.mark.skipif(
-    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-         and len(os.sched_getaffinity(0)) >= 2),
-    reason="reads fork only with os.fork, os.sched_getaffinity and two CPUs",
-)
 GATE = cli._FORK_BYTES
 HEADER = "x,mu,lambda\n"
 
@@ -249,37 +240,6 @@ def test_small_tables_forked_in_process_read_as_one_process(table, block):
             assert run_main(argv, text.encode()) == alone
 
 
-FORK_COUNT = textwrap.dedent(
-    """
-    import os, sys
-    from pseudofuzzy import cli
-
-    forks = 0
-    fork = os.fork
-
-    def counted():
-        global forks
-        forks += 1
-        if sys.argv[1] == "fork-fails":
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        pid = fork()
-        if pid == 0 and sys.argv[1] == "silent-child":
-            os._exit(0)
-        if pid == 0 and sys.argv[1] == "short-answer":
-            write = os.write
-            os.write = lambda fd, data: write(fd, data[:8])
-        return pid
-
-    os.fork = counted
-    if sys.argv[1] == "one-cpu":
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    code = cli.main(sys.argv[2:])
-    print(forks, file=sys.stderr)
-    sys.exit(code)
-    """
-)
-
-
 @can_fork
 @pytest.mark.parametrize("how, size_name, forks", [
     ("real", "100001-rows", 1),
@@ -291,14 +251,13 @@ FORK_COUNT = textwrap.dedent(
 def test_only_large_tables_on_two_cpus_fork(tmp_path, how, size_name, forks):
     path = tmp_path / "t.csv"
     path.write_text(table_of(size_name, "dependent", True))
-    proc = subprocess.run([sys.executable, "-c", FORK_COUNT, how, *verify(path)],
-                          capture_output=True, timeout=TIMEOUT_S)
+    proc = count_forks(how, verify(path), capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == f"{forks}\n".encode()
 
 
 @can_fork
-@pytest.mark.parametrize("how", ["fork-fails", "silent-child", "short-answer"])
+@pytest.mark.parametrize("how", ["fork-fails", "child-dies", "short-answer"])
 @pytest.mark.parametrize("table", ["tampered", "defect-in-second-half"])
 def test_a_table_is_read_by_one_process_if_the_child_does_not_answer(tmp_path, how, table):
     if table == "tampered":
@@ -307,8 +266,7 @@ def test_a_table_is_read_by_one_process_if_the_child_does_not_answer(tmp_path, h
         text = "".join(DEFECTS["non-numeric"](LINES, AFTER + 5))
     path = tmp_path / "t.csv"
     path.write_text(text)
-    proc = subprocess.run([sys.executable, "-c", FORK_COUNT, how, *verify(path)],
-                          capture_output=True, timeout=TIMEOUT_S)
+    proc = count_forks(how, verify(path), capture_output=True)
     message, end, forks = proc.stderr.decode()[:-1].rpartition("\n")  # the count comes last
     assert (proc.returncode, proc.stdout.decode(), message + end) == run_cold(verify(path))
     assert forks == "1"

@@ -12,39 +12,18 @@ import sys
 import textwrap
 
 import pytest
-from test_streaming import run_main
+from conftest import BUFFERED, TIMEOUT_S, can_fork, count_forks, one_cpu, run_cold, run_main
 
 HERE = os.path.dirname(__file__)
 DEP = os.path.join(HERE, "data", "dep_0_1_2.json")
 DEP2 = os.path.join(HERE, "data", "dep_1_2_3.json")
 DIVQ = os.path.join(HERE, "data", "dep_1_2_4.json")
 IND = os.path.join(HERE, "data", "ind_0_1_2.json")
-TIMEOUT_S = 60
 
-can_fork = pytest.mark.skipif(
-    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-         and len(os.sched_getaffinity(0)) >= 2),
-    reason="writes fork only with os.fork, os.sched_getaffinity and two CPUs",
-)
 # 12288 rows are 3 chunks, in one process; 12289 are 4, the least forked table,
 # the child's last chunk one row, held in its buffer unless flushed; 16383,
 # 16384, 16385, 32769, 50001 and 80001 are 4, 4, 5, 9, 13 and 20 chunks
 SIZES = [12288, 12289, 16383, 16384, 16385, 32769, 50001, 80001]
-
-
-# stdout buffered, as it is by default: a chunk left in a buffer would be lost
-BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-
-
-def run_cold(argv, **kwargs):
-    """(exit code, stdout, stderr) of `python -m pseudofuzzy argv`, stdout on a pipe."""
-    proc = subprocess.run([sys.executable, "-m", "pseudofuzzy", *argv], capture_output=True,
-                          timeout=TIMEOUT_S, env=BUFFERED, **kwargs)
-    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
-
-
-def one_cpu():
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 @can_fork
@@ -98,35 +77,6 @@ def test_one_cpu_writes_the_same_bytes():
     assert run_cold(argv, preexec_fn=one_cpu) == run_cold(argv)
 
 
-FORK_COUNT = textwrap.dedent(
-    """
-    import io, os, sys
-    from pseudofuzzy import cli
-
-    forks = 0
-    fork = os.fork
-
-    def counted():
-        global forks
-        forks += 1
-        if sys.argv[1] == "fork-fails":
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        pid = fork()
-        if pid == 0 and sys.argv[1] == "child-dies":
-            os._exit(0)
-        return pid
-
-    os.fork = counted
-    if sys.argv[1] == "one-cpu":
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    if sys.argv[1] == "swapped":
-        sys.stdout = io.StringIO()
-    assert cli.main(sys.argv[2:]) == 0
-    print(forks, file=sys.stderr)
-    """
-)
-
-
 @can_fork
 @pytest.mark.parametrize("how, n, forks", [
     ("real", 80001, 1),
@@ -135,8 +85,8 @@ FORK_COUNT = textwrap.dedent(
     ("swapped", 80001, 0),
 ])
 def test_only_large_tables_on_two_cpus_and_the_real_stdout_fork(how, n, forks):
-    proc = subprocess.run([sys.executable, "-c", FORK_COUNT, how, "curve", DEP, "--n", str(n)],
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=TIMEOUT_S)
+    proc = count_forks(how, ["curve", DEP, "--n", str(n)], stdout=subprocess.DEVNULL,
+                       stderr=subprocess.PIPE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == f"{forks}\n".encode()
 
@@ -144,16 +94,14 @@ def test_only_large_tables_on_two_cpus_and_the_real_stdout_fork(how, n, forks):
 @can_fork
 def test_a_table_is_written_by_one_process_if_the_fork_fails():
     argv = ["curve", DEP, "--n", "80001"]
-    proc = subprocess.run([sys.executable, "-c", FORK_COUNT, "fork-fails", *argv],
-                          capture_output=True, timeout=TIMEOUT_S, env=BUFFERED)
+    proc = count_forks("fork-fails", argv, capture_output=True, env=BUFFERED)
     assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (*run_main(argv)[:2], b"1\n")
 
 
 @can_fork
 def test_the_parent_writes_the_chunks_of_a_child_that_dies():
     argv = ["curve", DEP, "--n", "80001"]
-    proc = subprocess.run([sys.executable, "-c", FORK_COUNT, "child-dies", *argv],
-                          capture_output=True, timeout=TIMEOUT_S, env=BUFFERED)
+    proc = count_forks("child-dies", argv, capture_output=True, env=BUFFERED)
     assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (*run_main(argv)[:2], b"1\n")
 
 

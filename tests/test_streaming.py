@@ -1,16 +1,17 @@
 """Streamed CLI output: rows match the library at chunk edges, memory stays
 flat in the row count, and verify --table checks a table a block of lines
-at a time as it would line by line."""
+at a time as it would line by line. The library's own tables hold each
+value once."""
 
 import contextlib
 import io
 import math
 import os
-import sys
 import tracemalloc
 from unittest import mock
 
 import pytest
+from conftest import BLOCKS, curve_tables, decorated_tables, run_main
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,22 +59,6 @@ def doc(tmp_path, p, name):
     path = tmp_path / f"{name}.json"
     path.write_text(f'{{"a": {p.a!r}, "b": {p.b!r}, "c": {p.c!r}, "kind": "{p.kind.value}"}}')
     return str(path)
-
-
-def run_main(argv, stdin="", stdout=None):
-    """Exit code, stdout and stderr of cli.main run in this process.
-
-    stdin given as bytes comes with a buffer, as a real stdin does.
-    """
-    out, err = stdout or io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin)) if isinstance(stdin, bytes) else io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-    finally:
-        sys.stdin = saved
-    return code, (out.getvalue() if stdout is None else None), err.getvalue()
 
 
 def curve_reference(dset):
@@ -197,6 +182,24 @@ def test_forked_verify_table_holds_the_file_once(tmp_path):
         run_main(["curve", doc(tmp_path, DEP, "p"), "--n", "50001"], stdout=handle)
     size = table.stat().st_size
     assert traced_read_peak(["verify", str(table), "--table", "--kind", "dependent"], True) <= 2 * size
+
+
+# bytes a row may hold: an Interval or a PseudoFuzzyElement and its
+# MembershipPair, with their floats and the row's tuple, take about 186 and
+# 160; a second copy of each object's fields, a tuple more each, about 249 and 288
+@pytest.mark.parametrize("build, rows, most", [
+    (lambda: mul(PseudoTfn.dependent(0, 1, 2), PseudoTfn.dependent(1, 2, 3), 50001), 50001, 215),
+    (lambda: discretize(PseudoTfn.dependent(0, 1, 2), 100001, -2, 4), 100001, 220),
+], ids=["mul", "discretize"])
+def test_library_tables_hold_each_field_once(build, rows, most):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = build()  # held while measured
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / rows <= most
 
 
 LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
@@ -349,35 +352,6 @@ def test_verify_table_checks_eps_after_the_table(table, code):
     assert (got, out) == (code, "")
 
 
-# values that break a row, per column: non-finite, or out of range
-NON_FINITE = [math.nan, math.inf, -math.inf]
-BAD_VALUES = [NON_FINITE, NON_FINITE + [-5e-324, -0.5, 1.0000000000000002, 1.5],
-              NON_FINITE + [5e-324, 0.5, -1.0000000000000002, -1.5]]
-
-
-@st.composite
-def curve_tables(draw):
-    """Rows of a curve table with at most one defect, and its kind."""
-    xs = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8, unique=True)))
-    grades = st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 0.0))
-    rows = [[x, *draw(grades)] for x in xs]
-    i = draw(st.integers(0, len(rows) - 1))
-    defect = draw(st.sampled_from(["none", "value", "repeat", "lower"]))
-    if defect == "value":
-        column = draw(st.integers(0, 2))
-        rows[i][column] = draw(st.sampled_from(BAD_VALUES[column]))
-    elif defect == "repeat" and i:
-        rows[i][0] = rows[i - 1][0]
-    elif defect == "lower" and i:
-        rows[i][0] = draw(st.floats(-2e6, rows[i - 1][0], exclude_max=True))
-    return rows, draw(st.sampled_from(list(Kind)))
-
-
-# bytes per block: small ones put a defect, a violation or the header on
-# the first or last line of a block, and carry prev and the line count over
-BLOCKS = [cli._BLOCK_BYTES, 1, 8, 16, 32, 64]
-
-
 @settings(deadline=None, max_examples=300)
 @given(curve_tables(), st.booleans(), st.sampled_from(BLOCKS))
 def test_verify_table_explains_a_row_as_validate_set_does(table, as_bytes, block):
@@ -402,46 +376,6 @@ def first_violation_by_rows(rows, kind, eps=DEFAULT_EPS):
         if abs(lam - want) > eps:
             return x
     return None
-
-
-# lines a table may hold between its rows, and before its header
-FILLERS = ["", "# a comment", "#1,2,3", "# x,mu,lambda"]
-ENDS = ["\n", "\r\n"]
-
-
-@st.composite
-def decorated_tables(draw):
-    """A curve table as text, with up to two defects: its rows may hold one
-    (curve_tables), and a line may be one that is not three numbers.
-
-    Returns the text, the rows, the kind, and the index and message of that
-    line or None. Comment, blank and CRLF lines come between the rows and
-    before the header.
-    """
-    rows, kind = draw(curve_tables())
-    lines = [f"{x!r},{mu!r},{lam!r}" for x, mu, lam in rows]
-    bad_line = None
-    i = draw(st.integers(0, len(rows) - 1))
-    defect = draw(st.sampled_from(["none", "fields", "text", "header"]))
-    if defect == "fields":
-        lines[i] = draw(st.sampled_from([lines[i].rsplit(",", 1)[0], lines[i] + ",0"]))
-        bad_line = i, f"error: line {i + 2}: expected 3 comma-separated values\n"
-    elif defect == "text":
-        fields = lines[i].split(",")
-        fields[draw(st.integers(0, 2))] = draw(st.sampled_from(["", "x", "1e", "0x1"]))
-        lines[i] = ",".join(fields)
-        bad_line = i, f"error: line {i + 2}: non-numeric value\n"
-    elif defect == "header":  # a header is a row's line after line 1
-        lines[i] = "x,mu,lambda"
-        bad_line = i, f"error: line {i + 2}: non-numeric value\n"
-    text = ""
-    for line in draw(st.lists(st.sampled_from(FILLERS), max_size=2)) + ["x,mu,lambda"]:
-        text += line + draw(st.sampled_from(ENDS))
-    for line in lines:
-        for filler in draw(st.lists(st.sampled_from(FILLERS), max_size=2)):
-            text += filler + draw(st.sampled_from(ENDS))
-        text += line + draw(st.sampled_from(ENDS))
-    return text, rows, kind, bad_line
 
 
 @settings(deadline=None, max_examples=400)
