@@ -44,6 +44,7 @@ from .core import (
     validate_pair,
 )
 from .errors import (
+    BadRange,
     DivisorStraddlesZero,
     DocumentError,
     KindMismatch,
@@ -68,8 +69,6 @@ from .ptfn import discretize, kind_violation, set_kind_violation  # noqa: F401
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import NoReturn
-
     from .ptfn import Columns, ColumnsOf
 
 EXIT_OK = 0
@@ -329,11 +328,10 @@ class _CurveReader:
     """Reads a curve CSV's lines a block at a time, and keeps its place between reads.
 
     Blank lines and lines starting with # are skipped, and line numbers
-    count the lines kept, the header being line 1. Each row must hold three
-    numbers and pass core's one row check, made on a block's columns by
-    _block_columns; _bad_curve_line walks a block that fails it line by
-    line. The first defect raises DocumentError. A reader made with the
-    header takes every line it reads as a data line.
+    count the lines kept, the header being line 1. One _block_columns call
+    checks a block's data lines: it returns their columns or raises the
+    DocumentError of the first bad one. A reader made with the header takes
+    every line it reads as a data line.
     """
 
     __slots__ = ("header", "rows", "first", "last")
@@ -356,9 +354,7 @@ class _CurveReader:
                     raise DocumentError(_NO_HEADER)
             if not lines:
                 continue
-            columns = _block_columns(lines, self.last)
-            if columns is None:
-                _bad_curve_line(lines, self.rows, self.last)
+            columns = _block_columns(lines, self.rows, self.last)
             if not self.rows:
                 self.first = columns[0][0]
             self.rows += len(lines)
@@ -441,37 +437,28 @@ def _read_forked(
     return violation, split
 
 
-def _block_columns(lines: list[str], prev: float) -> Columns | None:
-    """The (xs, mus, lams) columns of data lines, or None if a line is bad.
+def _block_columns(lines: list[str], offset: int, prev: float) -> Columns:
+    """The (xs, mus, lams) columns of the data lines offset to offset + len(lines) - 1, counted from 0.
 
-    A line is bad if it does not hold three numbers or its row fails core's
-    one row check after a row at prev. Every step runs in C-level builtins.
+    Each line must hold three numbers, and its row pass core's one row
+    check, the first after a row at prev. The block is checked whole in
+    C-level builtins; a block that fails is walked line by line, and its
+    first bad line raises its DocumentError.
     """
-    # a line holds 3 fields exactly when it holds 2 commas
-    if list(map(str.count, lines, repeat(","))).count(2) != len(lines):
-        return None
     try:
-        values = list(map(float, ",".join(lines).split(",")))
+        # a line holds 3 fields exactly when it holds 2 commas
+        if list(map(str.count, lines, repeat(","))).count(2) == len(lines):
+            values = list(map(float, ",".join(lines).split(",")))
+            xs, mus, lams = values[0::3], values[1::3], values[2::3]
+            # x rises strictly from above prev to below inf, which also rules out NaN
+            if (
+                xs[0] > prev and xs[-1] < math.inf and all(map(lt, xs, islice(xs, 1, None)))
+                and all(map(le, repeat(0.0), mus)) and all(map(ge, repeat(1.0), mus))
+                and all(map(le, repeat(-1.0), lams)) and all(map(ge, repeat(0.0), lams))
+            ):
+                return xs, mus, lams
     except ValueError:  # a field that is not a number
-        return None
-    xs, mus, lams = values[0::3], values[1::3], values[2::3]
-    # x rises strictly from above prev to below inf, which also rules out NaN
-    if (
-        xs[0] > prev and xs[-1] < math.inf and all(map(lt, xs, islice(xs, 1, None)))
-        and all(map(le, repeat(0.0), mus)) and all(map(ge, repeat(1.0), mus))
-        and all(map(le, repeat(-1.0), lams)) and all(map(ge, repeat(0.0), lams))
-    ):
-        return xs, mus, lams
-    return None
-
-
-def _bad_curve_line(lines: list[str], offset: int, prev: float) -> NoReturn:
-    """Raise the DocumentError of the first bad line of a block that failed its check.
-
-    The lines are data lines offset to offset + len(lines) - 1, counted from
-    0, and prev is the x of the row before them.
-    """
-    inf = math.inf
+        pass
     for i, line in enumerate(lines, offset):
         parts = line.split(",")
         if len(parts) != 3:
@@ -480,7 +467,7 @@ def _bad_curve_line(lines: list[str], offset: int, prev: float) -> NoReturn:
             x, mu, lam = map(float, parts)
         except ValueError:
             raise DocumentError(f"line {i + 2}: non-numeric value") from None
-        if not (-inf < x < inf and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0 and x > prev):
+        if not (math.isfinite(x) and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0 and x > prev):
             try:
                 _bad_row(i, prev, x, mu, lam)
             except PseudoFuzzyError as exc:
@@ -498,6 +485,9 @@ def cmd_eval(args: argparse.Namespace) -> _Output:
 def cmd_curve(args: argparse.Namespace) -> _Output:
     p = _load_ptfn(args.ptfn)
     lo, hi = _default_window(p)
+    # a side filled in past the float range: name the window, not an option that was not given
+    if (args.xmin is None and lo == -math.inf) or (args.xmax is None and hi == math.inf):
+        raise BadRange(f"default window of ({p.a!r}, {p.b!r}, {p.c!r}) is not finite: give --xmin and --xmax")
     xmin = lo if args.xmin is None else args.xmin
     xmax = hi if args.xmax is None else args.xmax
     return _CURVE_HEADER + "\n", *_sample(p, args.n, xmin, xmax)

@@ -288,7 +288,9 @@ def parametric_point(p: PseudoTfn, r: float, s: float) -> float:
     if not 0.0 <= s <= 1.0:
         raise ParamOutOfRange(f"s must lie in [0, 1], got {s!r}")
     cut = alpha_cut_mu(p, r)
-    return cut.lo + s * (cut.hi - cut.lo)
+    # 1.0 changes no bits; where the width overflows, halving both ends is exact
+    half = 0.5 if cut.hi - cut.lo == math.inf else 1.0
+    return (half * cut.lo + s * (half * cut.hi - half * cut.lo)) / half
 
 
 def _default_window(p: PseudoTfn) -> tuple[float, float]:

@@ -10,9 +10,10 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from conftest import run_cli
+from conftest import BLOCKS, run_cli, run_main
 
 from pseudofuzzy import CaseLabel, DocumentError, classify_case, cli, discretize, validate_pair
 from pseudofuzzy.cli import parse_ptfn
@@ -435,6 +436,24 @@ def test_verify_takes_table_and_kind_together(argv, message):
     assert (result.returncode, result.stdout, result.stderr) == (2, b"", message)
 
 
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("bad,message", [
+    ("40,0.5", "line 42: expected 3 comma-separated values"),
+    ("40,0.5,x", "line 42: non-numeric value"),
+    ("39,0.5,-0.5", "invalid curve rows: duplicate support point x=39.0 at index 40"),
+    ("40,1.5,-0.5", "invalid curve rows: element 40: mu must lie in [0, 1], got 1.5"),
+    ("40,0.5,0.5", "invalid curve rows: element 40: lam must lie in [-1, 0], got 0.5"),
+], ids=["fields", "number", "duplicate", "mu", "lam"])
+def test_verify_table_names_a_defect_in_a_later_block_by_its_line(block, bad, message):
+    # the line and the index count the data lines of every block before the defect's
+    lines = [f"{i},0.5,-0.5" for i in range(60)]
+    lines[40] = bad
+    text = "x,mu,lambda\n" + "".join(line + "\n" for line in lines)
+    with mock.patch.object(cli, "_BLOCK_BYTES", block):
+        got = run_main(["verify", "-", "--table", "--kind", "dependent"], text)
+    assert got == (2, "", f"error: {message}\n")
+
+
 # its default window, +-9e307, is finite, but not its width
 WIDE = '{"a":-3e307,"b":0,"c":3e307,"kind":"dependent"}'
 WIDE_RANGE = b"window width xmax - xmin overflows, got [-8.999999999999999e+307, 8.999999999999999e+307]"
@@ -448,6 +467,28 @@ WIDE_RANGE = b"window width xmax - xmin overflows, got [-8.999999999999999e+307,
 def test_overflowing_window_width_is_a_bad_range(argv, stdin, message):
     result = run_cli(argv, stdin)
     assert (result.returncode, result.stdout, result.stderr) == (3, b"", b"error: " + message + b"\n")
+
+
+# a default side past the float range is named as the window, not as an option that was not given
+WIDE_FEET = '{"a":-1.7e308,"b":0,"c":1.7e308,"kind":"dependent"}', "(-1.7e+308, 0.0, 1.7e+308)"
+HIGH_FOOT = '{"a":0,"b":1e308,"c":1.2e308,"kind":"independent"}', "(0.0, 1e+308, 1.2e+308)"
+
+
+@pytest.mark.parametrize("number,options", [
+    (WIDE_FEET, []), (WIDE_FEET, ["--xmin", "0"]), (WIDE_FEET, ["--xmin", "-inf"]), (HIGH_FOOT, []),
+], ids=["both_sides", "xmax_filled_in", "xmin_given_not_finite", "xmax_side"])
+def test_default_window_that_is_not_finite_is_named(number, options):
+    doc, feet = number
+    result = run_cli(["curve", "-", "--n", "3", *options], doc)
+    message = f"error: default window of {feet} is not finite: give --xmin and --xmax\n"
+    assert (result.returncode, result.stdout, result.stderr) == (3, b"", message.encode())
+
+
+def test_given_window_of_a_wide_number_is_sampled():
+    # the high side's default is inf, but a given window needs no default
+    result = run_cli(["curve", "-", "--n", "3", "--xmax", "1"], HIGH_FOOT[0])
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == b"x,mu,lambda\n-1.2e+308,0,0\n-6e+307,0,0\n1,1e-308,-1e-308\n"
 
 
 def test_verify_answers_for_an_overflowing_window():

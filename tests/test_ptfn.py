@@ -236,6 +236,13 @@ class TestParametricPoint:
         xs = [parametric_point(DEP, 0.25, s / 10) for s in range(11)]
         assert xs == sorted(xs)
 
+    def test_cut_whose_width_overflows(self):
+        # hi - lo is inf at r = 0: the point is taken on the halved cut and doubled back
+        p = PseudoTfn.dependent(-1.7e308, 0.0, 1.7e308)
+        xs = [parametric_point(p, 0.0, s / 4) for s in range(5)]
+        assert xs == [-1.7e308, -8.5e307, 0.0, 8.499999999999998e307, 1.7e308]
+        assert parametric_point(p, 0.5, 0.5) == 0.0
+
     @pytest.mark.parametrize("r,s", [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1),
                                      pytest.param(0.5, 10**400, id="0.5-10**400")])
     def test_out_of_range(self, r, s):
