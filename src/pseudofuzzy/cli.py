@@ -5,7 +5,9 @@ exactly the fields a, b, c (numbers) and kind ("dependent" or
 "independent"). Commands read the document from a file path or from
 standard input when the path is "-", as bytes. verify --table reads a
 curve CSV a block of lines at a time, as (xs, mus, lams) columns that
-ptfn's one kind checker takes as they come. Each command returns its
+ptfn's one kind checker takes as they come: a block of plain rows is
+checked as bytes in one pass, and any other is decoded and walked line
+by line. Each command returns its
 output as a head, columns_of and a row count, and main writes them with
 _write_rows, the only code here that writes standard output. columns_of
 computes the three columns of any run of rows, so a table is written a
@@ -32,8 +34,8 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterator, Sequence
-from itertools import islice, repeat
-from operator import ge, le, lt
+from itertools import islice
+from operator import lt
 
 from . import arith
 from .core import (
@@ -91,10 +93,12 @@ _NO_HEADER = f"curve CSV must start with header '{_CURVE_HEADER}'"
 
 # a row of three values as _fmt writes them; "%.12g" % v is f"{v:.12g}"
 _ROW = "%.12g,%.12g,%.12g\n"
-# bytes of a CSV table decoded, split and parsed at a time. A block's lines,
+# bytes of a CSV table checked, split and parsed at a time. A block's
 # fields and floats are held together: verify --table's traced peak is the
-# file's size plus about 35 times this
+# file's size plus about 25 times this
 _BLOCK_BYTES = 1 << 14
+# the bytes of a plain row's numbers: float() reads them alike as bytes and str; none spells nan
+_NUMBER_BYTES = b"0123456789+-.eE"
 # the UTF-8 of each line break of str.splitlines(): a match starts on a
 # character, and takes a "\r\n" pair whole
 _LINE_BREAK = re.compile(rb"\r\n?|[\n\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
@@ -304,17 +308,17 @@ def _load_ptfn(path: str) -> PseudoTfn:
     return parse_ptfn(_read_bytes(path))
 
 
-def _blocks(data: bytes, start: int, stop: int) -> Iterator[str]:
-    """The text of data[start:stop] in blocks of about _BLOCK_BYTES, each ending just after a line break.
+def _blocks(data: bytes, start: int, stop: int) -> Iterator[bytes]:
+    """data[start:stop] in blocks of about _BLOCK_BYTES, each ending just after a line break.
 
     data is UTF-8, and start and stop are 0, len(data) or just after a line
     break. Neither a UTF-8 sequence nor a "\\r\\n" pair straddles a block's
-    end, so the blocks' splitlines() are the lines of the whole text.
+    end, so the blocks decode, and split, into the lines of the whole text.
     """
     while start < stop:
         found = _LINE_BREAK.search(data, start + _BLOCK_BYTES, stop)
         end = found.end() if found else stop
-        yield data[start:end].decode("utf-8")
+        yield data[start:end]
         start = end
 
 
@@ -324,14 +328,38 @@ def _middle_line(data: bytes) -> int:
     return found.end() if found else len(data)
 
 
+def _plain_columns(block: bytes, prev: float) -> Columns | None:
+    """The (xs, mus, lams) columns of a block of plain rows that pass the row check after prev, else None.
+
+    A plain row is three numbers of _NUMBER_BYTES between two commas, ended
+    by "\\n", "\\r\\n" or the block's end. Its block is checked whole in
+    C-level builtins, and read as a walk of its decoded lines reads it.
+    """
+    text = block.replace(b"\r\n", b"\n")
+    shape = text.translate(None, _NUMBER_BYTES)  # ",,\n" per line, and ",," for a last one unended
+    rows = (len(shape) + 1) // 3
+    if not rows or not (b",,\n" * rows).startswith(shape):
+        return None
+    try:
+        values = list(map(float, text.rstrip(b"\n").replace(b"\n", b",").split(b",")))
+    except ValueError:  # a field that is not a number, such as "" or "1e"
+        return None
+    xs, mus, lams = values[0::3], values[1::3], values[2::3]
+    # x rises strictly from above prev to below inf; no field spells nan, which fools min and max
+    rising = xs[0] > prev and xs[-1] < math.inf and all(map(lt, xs, islice(xs, 1, None)))
+    in_range = min(mus) >= 0.0 and max(mus) <= 1.0 and min(lams) >= -1.0 and max(lams) <= 0.0
+    return (xs, mus, lams) if rising and in_range else None
+
+
 class _CurveReader:
     """Reads a curve CSV's lines a block at a time, and keeps its place between reads.
 
     Blank lines and lines starting with # are skipped, and line numbers
-    count the lines kept, the header being line 1. One _block_columns call
-    checks a block's data lines: it returns their columns or raises the
-    DocumentError of the first bad one. A reader made with the header takes
-    every line it reads as a data line.
+    count the lines kept, the header being line 1. Blocks stay bytes until
+    one needs its lines: one _block_columns call checks a block's data
+    lines, and returns their columns or raises the DocumentError of the
+    first bad one. A reader made with the header takes every line it reads
+    as a data line.
     """
 
     __slots__ = ("header", "rows", "first", "last")
@@ -343,23 +371,54 @@ class _CurveReader:
         self.last = -math.inf  # the x of the last row read
 
     def columns(self, data: bytes, start: int, stop: int) -> Iterator[Columns]:
-        """Yield the (xs, mus, lams) columns of the lines of data[start:stop]."""
+        """Yield the (xs, mus, lams) columns of the data lines of data[start:stop]."""
         for block in _blocks(data, start, stop):
-            lines = block.splitlines()
-            if "#" in block or "" in lines:
-                lines = [line for line in lines if line and not line.startswith("#")]
-            if self.header is None and lines:
-                self.header = lines.pop(0)
-                if self.header != _CURVE_HEADER:
-                    raise DocumentError(_NO_HEADER)
-            if not lines:
-                continue
-            columns = _block_columns(lines, self.rows, self.last)
-            if not self.rows:
-                self.first = columns[0][0]
-            self.rows += len(lines)
-            self.last = columns[0][-1]
-            yield columns
+            columns = self._block_columns(block)
+            if columns[0]:
+                if not self.rows:
+                    self.first = columns[0][0]
+                self.rows += len(columns[0])
+                self.last = columns[0][-1]
+                yield columns
+
+    def _block_columns(self, block: bytes) -> Columns:
+        """The (xs, mus, lams) columns of a block's data lines, which follow self.rows rows.
+
+        Each line must hold three numbers, and its row pass core's one row
+        check, the first after the row at self.last. A block of plain rows
+        after the header is checked whole by _plain_columns; any other is
+        decoded and walked line by line. The walk skips blank and # lines,
+        takes the first line kept for the header if none was read, and
+        raises the DocumentError of the first bad line.
+        """
+        prev = self.last
+        columns = None if self.header is None else _plain_columns(block, prev)
+        if columns is not None:
+            return columns
+        lines = [line for line in block.decode().splitlines() if line and not line.startswith("#")]
+        if self.header is None and lines:
+            self.header = lines.pop(0)
+            if self.header != _CURVE_HEADER:
+                raise DocumentError(_NO_HEADER)
+        xs, mus, lams = [], [], []
+        for i, line in enumerate(lines, self.rows):
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise DocumentError(f"line {i + 2}: expected 3 comma-separated values")
+            try:
+                x, mu, lam = map(float, parts)
+            except ValueError:
+                raise DocumentError(f"line {i + 2}: non-numeric value") from None
+            if not (math.isfinite(x) and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0 and x > prev):
+                try:
+                    _bad_row(i, prev, x, mu, lam)
+                except PseudoFuzzyError as exc:
+                    raise DocumentError(f"invalid curve rows: {exc}") from None
+            xs.append(x)
+            mus.append(mu)
+            lams.append(lam)
+            prev = x
+        return xs, mus, lams
 
     def end(self) -> None:
         """Raise the DocumentError of a table that has no header or no data rows."""
@@ -435,45 +494,6 @@ def _read_forked(
                 violation = float(later)
             return violation, len(data)
     return violation, split
-
-
-def _block_columns(lines: list[str], offset: int, prev: float) -> Columns:
-    """The (xs, mus, lams) columns of the data lines offset to offset + len(lines) - 1, counted from 0.
-
-    Each line must hold three numbers, and its row pass core's one row
-    check, the first after a row at prev. The block is checked whole in
-    C-level builtins; a block that fails is walked line by line, and its
-    first bad line raises its DocumentError.
-    """
-    try:
-        # a line holds 3 fields exactly when it holds 2 commas
-        if list(map(str.count, lines, repeat(","))).count(2) == len(lines):
-            values = list(map(float, ",".join(lines).split(",")))
-            xs, mus, lams = values[0::3], values[1::3], values[2::3]
-            # x rises strictly from above prev to below inf, which also rules out NaN
-            if (
-                xs[0] > prev and xs[-1] < math.inf and all(map(lt, xs, islice(xs, 1, None)))
-                and all(map(le, repeat(0.0), mus)) and all(map(ge, repeat(1.0), mus))
-                and all(map(le, repeat(-1.0), lams)) and all(map(ge, repeat(0.0), lams))
-            ):
-                return xs, mus, lams
-    except ValueError:  # a field that is not a number
-        pass
-    for i, line in enumerate(lines, offset):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DocumentError(f"line {i + 2}: expected 3 comma-separated values")
-        try:
-            x, mu, lam = map(float, parts)
-        except ValueError:
-            raise DocumentError(f"line {i + 2}: non-numeric value") from None
-        if not (math.isfinite(x) and 0.0 <= mu <= 1.0 and -1.0 <= lam <= 0.0 and x > prev):
-            try:
-                _bad_row(i, prev, x, mu, lam)
-            except PseudoFuzzyError as exc:
-                raise DocumentError(f"invalid curve rows: {exc}") from None
-        prev = x
-    raise AssertionError("a block that failed its check has no bad line")
 
 
 def cmd_eval(args: argparse.Namespace) -> _Output:

@@ -57,6 +57,7 @@ from .errors import (
     BetaOutOfRange,
     InvalidInterval,
     InvalidShape,
+    NonFinite,
     ParamOutOfRange,
 )
 
@@ -386,7 +387,10 @@ def kind_violation(p: PseudoTfn, grid: int, eps: float = DEFAULT_EPS) -> Optiona
 
     Checks grid and the default window as sampling would, then eps; samples nothing.
     """
-    _sample(p, grid, *_default_window(p), "grid")  # checks now; its rows are never read
+    try:
+        _sample(p, grid, *_default_window(p), "grid")  # checks now; its rows are never read
+    except NonFinite:  # a side of the window past the float range: name the window, as curve does
+        raise NonFinite(f"default window of ({p.a!r}, {p.b!r}, {p.c!r}) is not finite") from None
     _require_eps(eps)
     return None
 

@@ -15,6 +15,7 @@ from pseudofuzzy import (
     Interval,
     Kind,
     MembershipPair,
+    NonFinite,
     PseudoTfn,
     TriangleShape,
     alpha_cut_mu,
@@ -134,6 +135,7 @@ HUGE_BITS = HUGE.bit_length()
 ADD = BinaryOpCode.ADD
 
 WIDE = PseudoTfn.dependent(-3e307, 0.0, 3e307)  # the width of its default window overflows
+FAR = PseudoTfn.dependent(-1.7e308, 0.0, 1.7e308)  # its default window's sides overflow
 
 
 def case(call, count, message, id, error=BadCount):
@@ -170,6 +172,12 @@ COUNT_CASES = [
          "window width xmax - xmin overflows, got "
          "[-8.999999999999999e+307, 8.999999999999999e+307]", "kind_violation-wide-eps-0",
          BadRange),
+    # a default window past the float range is named, not an xmin the caller never gave
+    case(lambda n: kind_violation(FAR, n), 101,
+         "default window of (-1.7e+308, 0.0, 1.7e+308) is not finite", "kind_violation-far",
+         NonFinite),
+    case(lambda n: kind_violation(FAR, n), 1, "need grid >= 2 sample points, got 1",
+         "kind_violation-far-1"),
     case(lambda n: mul(P, P, n), math.nan, "need levels >= 2, got nan", "mul-nan"),
     case(lambda n: mul(P, P, n), HUGE,
          f"need levels <= 2**53, got an integer of {HUGE_BITS} bits", "mul-huge"),

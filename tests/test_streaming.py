@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from pseudofuzzy import (
     DEFAULT_EPS,
+    DocumentError,
     Kind,
     PseudoFuzzyError,
     PseudoTfn,
@@ -239,8 +240,9 @@ def test_blocks_split_into_the_lines_of_the_whole_text(pieces, block):
     data = text.encode()
     split = cli._middle_line(data)
     with mock.patch.object(cli, "_BLOCK_BYTES", block):
-        whole = list(cli._blocks(data, 0, len(data)))
-        halves = [*cli._blocks(data, 0, split), *cli._blocks(data, split, len(data))]
+        whole = [b.decode() for b in cli._blocks(data, 0, len(data))]
+        halves = [b.decode() for b in (*cli._blocks(data, 0, split),
+                                       *cli._blocks(data, split, len(data)))]
     for blocks in (whole, halves):
         assert "".join(blocks) == text
         assert [line for b in blocks for line in b.splitlines()] == text.splitlines()
@@ -315,6 +317,18 @@ TABLE_CASES = [
     ("x,mu,lambda\n0,0,-1\n1,1,-0.5\n2,0,-1\n3,x,-1\n", 2, "error: line 5: non-numeric value\n"),
     ("x,mu,lambda\n0,0,-1\n1,1,-0.5\n2,0,-1\n1.5,0,-1\n", 2,
      "error: invalid curve rows: support not increasing at index 3: 1.5 < 2.0\n"),
+    # rows that the bytes pass refuses or reads: a block of them is read as its lines are
+    ("x,mu,lambda\n0,0,-1\n1\x0c,0,-1\n", 2,  # splitlines() breaks a line at \x0c
+     "error: line 3: expected 3 comma-separated values\n"),
+    ("x,mu,lambda\n0,0,-1\n1\r,0,-1\n", 2,  # and at a lone \r
+     "error: line 3: expected 3 comma-separated values\n"),
+    ("x,mu,lambda\n0,0,-1\n1,,-1\n", 2, "error: line 3: non-numeric value\n"),
+    ("x,mu,lambda\n0,0,-1\n1e999,0,-1\n", 2,
+     "error: invalid curve rows: x must be finite, got inf\n"),
+    ("x,mu,lambda\n0,0,-1\n1, 0.5,-0.5\n2,0,-0.5\n", 0, "violation at x=2\n"),
+    ("x,mu,lambda\n0,0,-1\n1_0,0,-1\n5,0,-1\n", 2,
+     "error: invalid curve rows: support not increasing at index 2: 5.0 < 10.0\n"),
+    ("x,mu,lambda\n0,+.5,-0.5\n1,-0,-1\n2,0,-0.5\n", 0, "violation at x=2\n"),
 ]
 
 
@@ -325,7 +339,87 @@ def test_verify_table_reports(table, code, message):
     assert (out, err) == (("", message) if code else (message, ""))
 
 
-# a file is read as bytes and decoded a block at a time
+@pytest.mark.parametrize("block", BLOCKS[1:])
+@pytest.mark.parametrize("table,code,message", TABLE_CASES)
+def test_verify_table_reports_in_blocks_of_any_size(table, code, message, block):
+    # in small blocks the rows after the header's block are read by the bytes pass
+    with mock.patch.object(cli, "_BLOCK_BYTES", block):
+        got, out, err = run_main(["verify", "-", "--table", "--kind", "dependent"], table.encode())
+    assert got == code
+    assert (out, err) == (("", message) if code else (message, ""))
+
+
+# (block, prev, the bytes pass's columns or None)
+PLAIN_CASES = [
+    (b"0,0,-1\n1,1,0\n", -math.inf, ([0.0, 1.0], [0.0, 1.0], [-1.0, 0.0])),
+    # CRLF, signs, exponents and a last line left unended
+    (b"-1e-3,+.5,-0.5\r\n2E0,1.,-0\r\n3,0,-1", -1.0,
+     ([-0.001, 2.0, 3.0], [0.5, 1.0, 0.0], [-0.5, -0.0, -1.0])),
+    (b"1,0,-1\n", 1.0, None),  # x must rise above prev
+    (b"0,0,-1\n0,0,-1\n", -math.inf, None),
+    (b"0,0,0.5\n", -math.inf, None),
+    (b"0,0,-1.5\n", -math.inf, None),
+    (b"0,1.5,-1\n", -math.inf, None),
+    (b"0,-1,-1\n", -math.inf, None),
+    (b"1e999,0,-1\n", -math.inf, None),
+    (b"-1e999,0,-1\n", -math.inf, None),
+    (b"1,,-1\n", -math.inf, None),
+    (b"1e,0,-1\n", -math.inf, None),
+    (b"1,0,-1,\n", -math.inf, None),
+    (b"1,0\n", -math.inf, None),
+    (b"1\x0c,0,-1\n", -math.inf, None),
+    (b"1\r,0,-1\n", -math.inf, None),
+    (b"0,0,-1\r1,1,0\r", -math.inf, None),  # lone CRs are refused, though they end lines
+    (b"1, 0.5,-0.5\n", -math.inf, None),
+    (b"1_0,0,-1\n", -math.inf, None),
+    (b"1,nan,-1\n", -math.inf, None),
+    (b"0,0,-1\n\n", -math.inf, None),
+    (b"# c\n0,0,-1\n", -math.inf, None),
+    (b"1", -math.inf, None),
+]
+
+
+@pytest.mark.parametrize("block,prev,columns", PLAIN_CASES)
+def test_the_bytes_pass_reads_plain_rows_only(block, prev, columns):
+    assert repr(cli._plain_columns(block, prev)) == repr(columns)
+
+
+def curve_text(table):
+    """The text of a curve_tables() table, header first."""
+    rows, _ = table
+    return "x,mu,lambda\n" + "".join(f"{x!r},{mu!r},{lam!r}\n" for x, mu, lam in rows)
+
+
+# a header, then text of the bytes that plain rows are made of and of bytes the bytes pass refuses
+ODD_ROWS = st.text(alphabet="01.5e+-,\n\r\x0b\x0c\x1c _#x", max_size=40).map(
+    lambda text: "x,mu,lambda\n" + text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(decorated_tables().map(lambda table: table[0]), curve_tables().map(curve_text),
+                 ODD_ROWS),
+       st.sampled_from(BLOCKS))
+def test_the_bytes_pass_refuses_a_block_or_reads_it_as_the_walk_does(text, block):
+    # each block, after the last x that the walk read in the blocks before it
+    data = text.encode()
+    with mock.patch.object(cli, "_BLOCK_BYTES", block):
+        blocks = list(cli._blocks(data, 0, len(data)))
+    reader = cli._CurveReader()
+    for piece in blocks:
+        plain = None if reader.header is None else cli._plain_columns(piece, reader.last)
+        with mock.patch.object(cli, "_plain_columns", return_value=None):  # the walk alone
+            try:
+                walked = reader._block_columns(piece)
+            except DocumentError:
+                assert plain is None
+                return
+        assert plain is None or repr(plain) == repr(walked)
+        if walked[0]:
+            reader.rows += len(walked[0])
+            reader.last = walked[0][-1]
+
+
+# a file is read as bytes, a block at a time
 FILE_CASES = [(table.encode(), code, message) for table, code, message in TABLE_CASES] + [
     ("x,mu,lambda\n# é\n0,0,-1\n".encode(), 0, "ok\n"),
     (b"x,mu,lambda\n" + b"0,0,-1\n" * 20000 + b"\xff", 2,
