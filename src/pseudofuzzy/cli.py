@@ -7,7 +7,8 @@ standard input when the path is "-", as bytes. verify --table reads a
 curve CSV a block of lines at a time, as (xs, mus, lams) columns that
 ptfn's one kind checker takes as they come: a block of plain rows is
 checked as bytes in one pass, and any other is decoded and walked line
-by line. Each command returns its
+by line. A plain block whose rows all spell mu and lam alike is read as
+its xs, with one mu and one lam that they share. Each command returns its
 output as a head, columns_of and a row count, and main writes them with
 _write_rows, the only code here that writes standard output. columns_of
 computes the three columns of any run of rows, so a table is written a
@@ -334,17 +335,30 @@ def _plain_columns(block: bytes, prev: float) -> Columns | None:
     A plain row is three numbers of _NUMBER_BYTES between two commas, ended
     by "\\n", "\\r\\n" or the block's end. Its block is checked whole in
     C-level builtins, and read as a walk of its decoded lines reads it.
+    A block whose rows all end in the first row's ",mu,lam" bytes, as a
+    curve's rows outside its support do, is read as its xs alone: its
+    columns are the xs, [mu] and [lam], one pair that every x shares.
     """
     text = block.replace(b"\r\n", b"\n")
-    shape = text.translate(None, _NUMBER_BYTES)  # ",,\n" per line, and ",," for a last one unended
-    rows = (len(shape) + 1) // 3
-    if not rows or not (b",,\n" * rows).startswith(shape):
+    if not text.endswith(b"\n"):
+        text += b"\n"  # a last line left unended
+    shape = text.translate(None, _NUMBER_BYTES)  # ",,\n" per line
+    rows = len(shape) // 3
+    if shape != b",,\n" * rows:  # also where rows is 0: shape holds the last "\n"
         return None
+    # the first row's ",mu,lam\n": a row holds two commas, so it occurs only
+    # as the end of a row, and count is rows when every row ends in it
+    grades = text[text.index(b","):text.index(b"\n") + 1]
     try:
-        values = list(map(float, text.rstrip(b"\n").replace(b"\n", b",").split(b",")))
+        if text.endswith(grades) and text.count(grades) == rows:
+            xs = list(map(float, text.replace(grades, b"\n").split(b"\n")[:-1]))
+            mu, lam = map(float, grades[1:-1].split(b","))
+            mus, lams = [mu], [lam]
+        else:
+            values = list(map(float, text[:-1].replace(b"\n", b",").split(b",")))
+            xs, mus, lams = values[0::3], values[1::3], values[2::3]
     except ValueError:  # a field that is not a number, such as "" or "1e"
         return None
-    xs, mus, lams = values[0::3], values[1::3], values[2::3]
     # x rises strictly from above prev to below inf; no field spells nan, which fools min and max
     rising = xs[0] > prev and xs[-1] < math.inf and all(map(lt, xs, islice(xs, 1, None)))
     in_range = min(mus) >= 0.0 and max(mus) <= 1.0 and min(lams) >= -1.0 and max(lams) <= 0.0

@@ -65,7 +65,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-    Columns = tuple[Sequence[float], Sequence[float], Sequence[float]]  # xs, mus, lams
+    # xs, mus, lams; a reader's block may give one mu and one lam that every x shares
+    Columns = tuple[Sequence[float], Sequence[float], Sequence[float]]
     # columns_of(start, stop) is the three columns of the rows start to stop - 1 of a table
     ColumnsOf = Callable[[int, int], Columns]
 
@@ -371,8 +372,11 @@ def _first_violation(columns: Iterable[Columns], kind: Kind, eps: float) -> Opti
 
     The rows come as (xs, mus, lams) columns. Every column is read, also
     those after that row's, so a reader that checks its rows as it yields
-    them, such as the CLI's curve reader, checks them all. eps is not
-    checked here.
+    them, such as the CLI's curve reader, checks them all. A reader may
+    give a block's mus and lams as one value each, which every x of the
+    block shares: compress stops at the shortest column, so that pair is
+    checked once, and the block's first x is its first violation. eps is
+    not checked here.
     """
     first = None
     for xs, mus, lams in columns:

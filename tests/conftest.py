@@ -1,5 +1,5 @@
 """Helpers that several test modules share: CLI runs in a subprocess
-(run_cli, run_cold, count_forks) and in this process (run_main), the
+(run_cli, run_cold, count_forks, each started by PYTHON) and in this process (run_main), the
 can_fork skip mark, and hypothesis strategies of curve tables. Importing this module also lets
 the CLI subprocesses that tests start import the package from src/, as
 pytest's own `pythonpath` setting lets the tests themselves."""
@@ -22,6 +22,9 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 TIMEOUT_S = 60
+# the interpreter that starts a CLI process, with this one's -b or -bb: under
+# -bb a bytes == str comparison raises in a cold process as in this one
+PYTHON = [sys.executable, *["-b"] * sys.flags.bytes_warning]
 # stdout buffered, as it is by default: a chunk left in a buffer would be lost
 BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
 
@@ -29,7 +32,7 @@ BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHON
 def run_cli(argv, stdin=None, **kwargs):
     """`python -m pseudofuzzy argv` in a subprocess; stdin is str, bytes or None."""
     return subprocess.run(
-        [sys.executable, "-m", "pseudofuzzy", *argv],
+        [*PYTHON, "-m", "pseudofuzzy", *argv],
         input=stdin.encode() if isinstance(stdin, str) else stdin,
         capture_output=True,
         **kwargs,
@@ -38,7 +41,7 @@ def run_cli(argv, stdin=None, **kwargs):
 
 def run_cold(argv, **kwargs):
     """(exit code, stdout, stderr) of `python -m pseudofuzzy argv`, stdout on a pipe."""
-    proc = subprocess.run([sys.executable, "-m", "pseudofuzzy", *argv], capture_output=True,
+    proc = subprocess.run([*PYTHON, "-m", "pseudofuzzy", *argv], capture_output=True,
                           timeout=TIMEOUT_S, env=BUFFERED, **kwargs)
     return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
@@ -116,7 +119,7 @@ FORK_COUNT = textwrap.dedent(
 
 def count_forks(how, argv, **kwargs):
     """The completed FORK_COUNT process for how and argv."""
-    return subprocess.run([sys.executable, "-c", FORK_COUNT, how, *argv], timeout=TIMEOUT_S, **kwargs)
+    return subprocess.run([*PYTHON, "-c", FORK_COUNT, how, *argv], timeout=TIMEOUT_S, **kwargs)
 
 
 # bytes per block: small ones put a defect, a violation or the header on
@@ -131,10 +134,18 @@ BAD_VALUES = [NON_FINITE, NON_FINITE + [-5e-324, -0.5, 1.0000000000000002, 1.5],
 
 @st.composite
 def curve_tables(draw):
-    """Rows of a curve table with at most one defect, and its kind."""
+    """Rows of a curve table with at most one defect, and its kind.
+
+    A run of the rows shares one (mu, lam), as a curve's rows outside its
+    support share (0, -1) or (0, 0); the defect may fall in it.
+    """
     xs = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8, unique=True)))
     grades = st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 0.0))
     rows = [[x, *draw(grades)] for x in xs]
+    start, stop = sorted(draw(st.integers(0, len(rows))) for _ in range(2))
+    shared = draw(st.sampled_from([(0.0, -1.0), (0.0, 0.0)]) | grades)
+    for row in rows[start:stop]:
+        row[1:] = shared
     i = draw(st.integers(0, len(rows) - 1))
     defect = draw(st.sampled_from(["none", "value", "repeat", "lower"]))
     if defect == "value":

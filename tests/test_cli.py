@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import BLOCKS, run_cli, run_main
+from conftest import BLOCKS, PYTHON, run_cli, run_main
 
 from pseudofuzzy import CaseLabel, DocumentError, classify_case, cli, discretize, validate_pair
 from pseudofuzzy.cli import parse_ptfn
@@ -136,7 +136,7 @@ def test_exponent_form_negative_numbers(argv, stdout):
 def test_write_failure_exits_2_without_traceback():
     with open("/dev/full", "wb") as full:
         result = subprocess.run(
-            [sys.executable, "-m", "pseudofuzzy", "eval", str(SAMPLES / "demo_p.json"), "1"],
+            [*PYTHON, "-m", "pseudofuzzy", "eval", str(SAMPLES / "demo_p.json"), "1"],
             stdout=full,
             stderr=subprocess.PIPE,
         )
@@ -149,7 +149,7 @@ def test_write_failure_exits_2_without_traceback():
 def test_stderr_write_failure_keeps_exit_code():
     with open("/dev/full", "wb") as full:
         result = subprocess.run(
-            [sys.executable, "-m", "pseudofuzzy", "eval", str(DATA / "missing.json"), "1"],
+            [*PYTHON, "-m", "pseudofuzzy", "eval", str(DATA / "missing.json"), "1"],
             stdout=subprocess.PIPE,
             stderr=full,
         )
@@ -159,7 +159,7 @@ def test_stderr_write_failure_keeps_exit_code():
 
 def test_closed_pipe_exits_2_without_traceback():
     proc = subprocess.Popen(
-        [sys.executable, "-m", "pseudofuzzy", "curve", str(SAMPLES / "demo_p.json"),
+        [*PYTHON, "-m", "pseudofuzzy", "curve", str(SAMPLES / "demo_p.json"),
          "--n", "100001"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -183,7 +183,7 @@ def test_closed_stdout_exits_2_without_traceback(monkeypatch, capsys):
     ["curve", str(SAMPLES / "demo_p.json"), "--n", "5"],
 ])
 def test_closed_stdout_descriptor_exits_2(argv):
-    command = shlex.join([sys.executable, "-m", "pseudofuzzy", *argv]) + " >&-"
+    command = shlex.join([*PYTHON, "-m", "pseudofuzzy", *argv]) + " >&-"
     result = subprocess.run(["sh", "-c", command], capture_output=True)
     assert result.returncode == 2
     assert result.stderr == b"error: cannot write output: stdout is closed\n"
@@ -192,7 +192,7 @@ def test_closed_stdout_descriptor_exits_2(argv):
 @pytest.mark.parametrize("argv", [["eval", "-", "1"], ["verify", "-", "--table", "--kind", "dependent"]],
                          ids=["eval", "verify-table"])
 def test_closed_stdin_descriptor_exits_2(argv):
-    command = shlex.join([sys.executable, "-m", "pseudofuzzy", *argv]) + " <&-"
+    command = shlex.join([*PYTHON, "-m", "pseudofuzzy", *argv]) + " <&-"
     result = subprocess.run(["sh", "-c", command], capture_output=True)
     assert (result.returncode, result.stdout) == (2, b"")
     assert result.stderr == b"error: cannot read -: stdin is closed\n"
@@ -211,12 +211,12 @@ def test_a_read_that_runs_out_of_memory_exits_2(tmp_path, source):
     # the CLI runs under an address-space limit 16 MiB above the peak of a
     # probe child of the same interpreter that imports it; the input is a
     # 64 MiB sparse file, whose read cannot fit under the limit
-    probe = subprocess.run([sys.executable, "-c", "import pseudofuzzy.cli; print(open('/proc/self/status').read())"],
+    probe = subprocess.run([*PYTHON, "-c", "import pseudofuzzy.cli; print(open('/proc/self/status').read())"],
                            capture_output=True, text=True, check=True)
     limit = (int(re.search(r"^VmPeak:\s+(\d+) kB$", probe.stdout, re.M).group(1)) << 10) + (16 << 20)
 
     def run(argv, stdin=None):
-        return subprocess.run([sys.executable, "-m", "pseudofuzzy", *argv], stdin=stdin, capture_output=True,
+        return subprocess.run([*PYTHON, "-m", "pseudofuzzy", *argv], stdin=stdin, capture_output=True,
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
 
     small = tmp_path / "small.csv"
@@ -338,7 +338,7 @@ def test_cli_never_imports_numpy():
         print("checked")
         """
     )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    result = subprocess.run([*PYTHON, "-c", script], capture_output=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.endswith(b"checked\n")
 
@@ -358,9 +358,17 @@ def test_cli_import_leaves_out_costly_modules():
         print(sorted(costly & set(sys.modules)))
         """
     )
-    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True)
+    result = subprocess.run([*PYTHON, "-S", "-c", script], capture_output=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.endswith(b"\n[]\n")
+
+
+def test_cli_processes_take_the_bytes_warning_flag_of_the_tests():
+    # under python -bb a bytes == str comparison raises, also on a path that
+    # only a cold CLI process or its forked child takes
+    result = subprocess.run([*PYTHON, "-c", "import sys; print(sys.flags.bytes_warning)"],
+                            capture_output=True, text=True)
+    assert result.stdout == f"{sys.flags.bytes_warning}\n"
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -586,5 +594,5 @@ def test_entry_freezes_the_objects_of_its_process():
         except SystemExit as exc:
             print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)
     """)
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    result = subprocess.run([*PYTHON, "-c", script], capture_output=True, text=True)
     assert (result.stdout, result.stderr) == ("B\n", "0 True\n")

@@ -8,11 +8,10 @@ and make communicate time out."""
 import json
 import os
 import subprocess
-import sys
 import textwrap
 
 import pytest
-from conftest import BUFFERED, TIMEOUT_S, can_fork, count_forks, one_cpu, run_cold, run_main
+from conftest import BUFFERED, PYTHON, TIMEOUT_S, can_fork, count_forks, one_cpu, run_cold, run_main
 
 HERE = os.path.dirname(__file__)
 DEP = os.path.join(HERE, "data", "dep_0_1_2.json")
@@ -64,7 +63,7 @@ def test_first_error_and_partial_output_match_one_process(xmin, xmax, index, lin
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
 def test_write_failure_of_a_forked_table_is_one_line():
     with open("/dev/full", "wb") as full:
-        proc = subprocess.run([sys.executable, "-m", "pseudofuzzy", "curve", DEP, "--n", "100001"],
+        proc = subprocess.run([*PYTHON, "-m", "pseudofuzzy", "curve", DEP, "--n", "100001"],
                               stdout=full, stderr=subprocess.PIPE, timeout=TIMEOUT_S)
     assert proc.returncode == 2
     assert proc.stderr.startswith(b"error: cannot write output: ")
@@ -109,7 +108,7 @@ def test_the_parent_writes_the_chunks_of_a_child_that_dies():
 def test_a_reader_that_leaves_after_the_first_chunk_gets_that_chunk_and_one_line():
     argv = ["curve", DEP, "--n", "80001"]
     first = "".join(run_main(argv)[1].splitlines(keepends=True)[:1 + 4096]).encode()  # head, chunk 0
-    proc = subprocess.Popen([sys.executable, "-m", "pseudofuzzy", *argv], bufsize=0,
+    proc = subprocess.Popen([*PYTHON, "-m", "pseudofuzzy", *argv], bufsize=0,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED)
     try:
         got = b""
@@ -168,7 +167,7 @@ def test_forked_commands_leave_no_descriptor_or_child(tmp_path):
                              ("9007199254731992", "9007199254751991")]),
     ]
     with open(tmp_path / "out.csv", "wb") as out:
-        proc = subprocess.run([sys.executable, "-c", LEAK_CHECK, json.dumps(commands)],
+        proc = subprocess.run([*PYTHON, "-c", LEAK_CHECK, json.dumps(commands)],
                               stdout=out, stderr=subprocess.PIPE, timeout=TIMEOUT_S, env=BUFFERED)
     assert proc.returncode == 0, proc.stderr
     codes, before, after, forks, left = json.loads(proc.stderr.splitlines()[-1])

@@ -329,6 +329,12 @@ TABLE_CASES = [
     ("x,mu,lambda\n0,0,-1\n1_0,0,-1\n5,0,-1\n", 2,
      "error: invalid curve rows: support not increasing at index 2: 5.0 < 10.0\n"),
     ("x,mu,lambda\n0,+.5,-0.5\n1,-0,-1\n2,0,-0.5\n", 0, "violation at x=2\n"),
+    # runs of rows that spell mu and lam alike: a block within one is read as its xs
+    ("x,mu,lambda\n0,0,-1\n" + "".join(f"{i},0,0\n" for i in range(1, 25)) + "25,0,-1\n", 0,
+     "violation at x=1\n"),
+    ("x,mu,lambda\n" + "".join(f"{i},{'0.0' if i == 12 else 0},-1\n" for i in range(25)), 0, "ok\n"),
+    ("x,mu,lambda\n" + "".join(f"{i},0,{0 if i == 12 else -1}\n" for i in range(25)), 0,
+     "violation at x=12\n"),
 ]
 
 
@@ -376,6 +382,17 @@ PLAIN_CASES = [
     (b"0,0,-1\n\n", -math.inf, None),
     (b"# c\n0,0,-1\n", -math.inf, None),
     (b"1", -math.inf, None),
+    # rows that all end in the first row's ",mu,lam": their xs, and one mu and lam they share
+    (b"0,0,-1\n1,0,-1\n2,0,-1\n", -math.inf, ([0.0, 1.0, 2.0], [0.0], [-1.0])),
+    (b"-2,1,0\r\n-1,1,0\r\n", -3.0, ([-2.0, -1.0], [1.0], [0.0])),
+    (b"5,0,0\n6,0,0", 4.5, ([5.0, 6.0], [0.0], [0.0])),
+    # a row that spells mu or lam otherwise, even as the same float: every field is read
+    (b"0,0,-1\n1,0,0\n2,0,-1\n", -math.inf, ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [-1.0, 0.0, -1.0])),
+    (b"0,0,-1\n1,0.0,-1\n", -math.inf, ([0.0, 1.0], [0.0, 0.0], [-1.0, -1.0])),
+    # and such a block is still refused for an empty or repeated x, or grades out of range
+    (b"0,0,-1\n,0,-1\n1,0,-1\n", -math.inf, None),
+    (b"0,0,-1\n1,0,-1\n1,0,-1\n", -math.inf, None),
+    (b"0,0,-2\n1,0,-2\n", -math.inf, None),
 ]
 
 
@@ -413,6 +430,9 @@ def test_the_bytes_pass_refuses_a_block_or_reads_it_as_the_walk_does(text, block
             except DocumentError:
                 assert plain is None
                 return
+        if plain is not None and len(plain[1]) == 1:  # one mu and lam that every x shares
+            xs, [mu], [lam] = plain
+            plain = xs, [mu] * len(xs), [lam] * len(xs)
         assert plain is None or repr(plain) == repr(walked)
         if walked[0]:
             reader.rows += len(walked[0])
